@@ -1,8 +1,10 @@
 """Square plans are permutations; rectangular ones are still nearly so.
 
-With m = n the exact solver returns a bijection outright. With m != n the
-gcd dummy-point construction finds an optimal plan whose fanout/fanin are
-bounded by n/gcd(m,n) and m/gcd(m,n).
+With m = n the exact solver returns a bijection outright. With m != n every
+integral plan at scale lcm(m, n) has fanout <= n/gcd(m,n) and fanin
+<= m/gcd(m,n), because each source ships n/gcd units, each target takes m/gcd
+and every positive flow is at least one unit; gcd_construct is solve plus a
+check of those bounds.
 """
 from fractions import Fraction
 

@@ -14,7 +14,6 @@ from .analysis import (
     rigidity_report,
 )
 from .constructions import (
-    GuardExceeded,
     PermutationDecomposition,
     birkhoff_decompose,
     gcd_construct,
@@ -27,6 +26,7 @@ from .instance import (
     Instance,
     PointCloud,
     cost_from_points,
+    gen_point_instance,
     gen_points,
     gen_random_costs,
     genericity_check,
@@ -62,7 +62,6 @@ __all__ = [
     "ExperimentSpec",
     "GenericityReport",
     "Geometry",
-    "GuardExceeded",
     "Instance",
     "OracleCapExceeded",
     "OracleResult",
@@ -80,6 +79,7 @@ __all__ = [
     "fanout_split",
     "find_crossings",
     "gcd_construct",
+    "gen_point_instance",
     "gen_points",
     "gen_random_costs",
     "genericity_check",

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation/guard error, 2 I/O error.
+Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import sys
 
 from . import instance as inst_mod
 from .analysis import rigidity_report
-from .constructions import birkhoff_decompose, gcd_construct, DEFAULT_GCD_GUARD
+from .constructions import birkhoff_decompose, gcd_construct
 from .experiments import ExperimentSpec, run_experiment
 from .io import (
     load_instance,
@@ -48,7 +48,6 @@ def _build_parser():
     p = sub.add_parser("genericity", help="scan for cost quadruple near-ties")
     p.add_argument("--instance", required=True)
     p.add_argument("--tol", type=float, default=inst_mod.DEFAULT_GENERICITY_TOL)
-    p.add_argument("--full", action="store_true")
 
     p = sub.add_parser("perturb", help="jitter the costs to restore genericity")
     p.add_argument("--instance", required=True)
@@ -65,9 +64,9 @@ def _build_parser():
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("gcd-construct", help="optimal plan via the gcd dummy-point construction")
+    p = sub.add_parser("gcd-construct",
+                       help="optimal plan checked against the gcd fanout/fanin bounds")
     p.add_argument("--instance", required=True)
-    p.add_argument("--guard", type=int, default=DEFAULT_GCD_GUARD)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("birkhoff", help="decompose a square plan into permutations")
@@ -110,18 +109,16 @@ def _run(args) -> int:
             inst = inst_mod.gen_random_costs(args.m, args.n, args.seed)
         else:
             dist = "uniform-square" if args.dist == "uniform" else "gaussian"
-            x = inst_mod.gen_points(dist, args.m, 2, args.seed)
-            y = inst_mod.gen_points(dist, args.n, 2, args.seed + 10_000_019)
-            inst = inst_mod.cost_from_points(x, y, args.p)
+            inst = inst_mod.gen_point_instance(dist, args.m, args.n, args.p, args.seed)
         save_instance(inst, args.out)
         return 0
     if cmd == "genericity":
         inst = load_instance(args.instance)
-        rep = inst_mod.genericity_check(inst, tol=args.tol, full=args.full)
+        rep = inst_mod.genericity_check(inst, tol=args.tol)
         print(json.dumps({"generic": rep.generic,
                           "violations": [list(v) for v in rep.violations[:100]],
                           "violation_count": len(rep.violations),
-                          "sampled": rep.sampled,
+                          "truncated": rep.truncated,
                           "tolerance": rep.tolerance}))
         return 0
     if cmd == "perturb":
@@ -144,7 +141,7 @@ def _run(args) -> int:
         return 0
     if cmd == "gcd-construct":
         inst = load_instance(args.instance)
-        plan = gcd_construct(inst, guard=args.guard)
+        plan = gcd_construct(inst)
         save_plan_csv(plan, args.out)
         rep = rigidity_report(plan)
         print(json.dumps({"objective": objective(inst, plan),

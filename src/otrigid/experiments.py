@@ -58,10 +58,7 @@ def _replace(spec, **kw):
 def build_instance(spec: ExperimentSpec, seed: int) -> Instance:
     if spec.random_costs:
         return inst_mod.gen_random_costs(spec.m, spec.n, seed)
-    # one RNG stream per seed: sources then targets
-    x = inst_mod.gen_points(spec.dist, spec.m, 2, seed)
-    y = inst_mod.gen_points(spec.dist, spec.n, 2, seed + 10_000_019)
-    return inst_mod.cost_from_points(x, y, spec.p)
+    return inst_mod.gen_point_instance(spec.dist, spec.m, spec.n, spec.p, seed)
 
 
 def run_seed(spec: ExperimentSpec, seed: int, out_dir: Optional[str] = None) -> dict:
@@ -78,7 +75,6 @@ def run_seed(spec: ExperimentSpec, seed: int, out_dir: Optional[str] = None) -> 
     record = {
         "seed": seed,
         "perturbed": perturbed,
-        "genericity_sampled": report.sampled,
         "generic": report.generic,
         "stats": stats,
     }

@@ -13,12 +13,12 @@ from typing import Optional
 
 import numpy as np
 
-# Quadruple budget above which genericity_check falls back to sampling.
-FULL_SCAN_BUDGET = 10**8
-SAMPLE_SIZE = 10**7
-
 DEFAULT_GENERICITY_TOL = 1e-12
 DEFAULT_PERTURB_ETA = 1e-9
+
+# Most violations a GenericityReport lists. Hostile input (all-zero costs) has
+# ~m^2 n^2 / 4 of them, so the list stops here; the verdict stays exact.
+VIOLATION_LIST_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,9 @@ class GenericityReport:
     """Outcome of the quadruple scan c_ik + c_jl vs c_il + c_jk."""
 
     generic: bool
-    violations: tuple  # quadruples (i, j, k, l) with i < j, k < l
+    violations: tuple  # quadruples (i, j, k, l) with i < j, k < l, sorted
     tolerance: float  # relative to max|c|
-    sampled: bool = False
-    quadruples_checked: int = 0
+    truncated: bool = False  # more than VIOLATION_LIST_LIMIT exist; the rest are not listed
 
     def __post_init__(self):
         if self.generic != (len(self.violations) == 0):
@@ -159,6 +158,17 @@ def cost_from_points(x: PointCloud, y: PointCloud, p: float) -> Instance:
     return Instance(CostMatrix(c), geom)
 
 
+def gen_point_instance(dist, m, n, p, seed) -> Instance:
+    """W_p instance between m sources and n targets drawn from ``dist`` in 2D.
+
+    One seed fixes both clouds: sources are drawn with ``seed`` and targets
+    with ``seed + 10_000_019``, so the two never share an RNG stream.
+    """
+    x = gen_points(dist, m, 2, seed)
+    y = gen_points(dist, n, 2, seed + 10_000_019)
+    return cost_from_points(x, y, p)
+
+
 def gen_random_costs(m, n, seed) -> Instance:
     """Instance with iid uniform [0,1) costs and no geometry."""
     if m < 1 or n < 1:
@@ -183,86 +193,59 @@ def perturb(inst: Instance, eta: float, seed) -> Instance:
     return Instance(CostMatrix(inst.costs.c + jitter))
 
 
-def genericity_check(
-    inst: Instance,
-    tol: float = DEFAULT_GENERICITY_TOL,
-    full: bool = False,
-    sample_budget: int = SAMPLE_SIZE,
-    sample_seed: int = 0,
-) -> GenericityReport:
-    """Scan quadruples (i<j, k<l) for near-ties |c_ik + c_jl - c_il - c_jk| <= tol*max|c|.
+def genericity_check(inst: Instance, tol: float = DEFAULT_GENERICITY_TOL) -> GenericityReport:
+    """Exact scan of quadruples (i<j, k<l) for |c_ik + c_jl - c_il - c_jk| <= tol*max|c|.
 
-    The full scan sorts the row differences c_i - c_j per source pair, so it
-    costs O(m^2 n log n) rather than O(m^2 n^2).  When the nominal quadruple
-    count m^2 n^2 / 4 exceeds the budget and ``full`` is not set, a seeded
-    random sample of quadruples is checked instead and the report is marked
-    sampled.
+    With d = c_i - c_j, a quadruple is a near-tie when |d_k - d_l| <= tol*max|c|.
+    For each i the differences to every j > i are sorted at once; only source
+    pairs whose sorted d has an adjacent gap within tolerance can hold a
+    near-tie, because rounded subtraction is monotone: any sorted window
+    ds[hi] - ds[lo] <= tol*max|c| contains such a gap.  Only those pairs get the
+    two-pointer sweep, started only at such gaps, so the scan is exact and costs
+    O(m^2 n log n) plus the violations it lists.
+
+    Source pairs are visited in (i, j) order.  Once VIOLATION_LIST_LIMIT
+    violations are listed the scan stops at the next one and marks the report
+    truncated; ``generic`` is exact either way.
     """
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    c = inst.costs.c
-    m, n = inst.m, inst.n
-    if m < 2 or n < 2:
-        return GenericityReport(True, (), tol, False, 0)
-    abs_tol = tol * max(inst.costs.max_abs, 0.0)
-    nominal = (m * (m - 1) // 2) * (n * (n - 1) // 2)
-    if nominal > FULL_SCAN_BUDGET and not full:
-        return _genericity_sampled(c, m, n, tol, abs_tol, sample_budget, sample_seed)
-
     violations = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = c[i] - c[j]
-            order = np.argsort(d, kind="stable")
-            ds = d[order]
-            # two-pointer sweep over sorted differences: all (k, l) with
-            # |d_k - d_l| <= abs_tol appear as pairs inside a sliding window
-            hi = 0
-            for lo in range(n):
-                if hi < lo + 1:
-                    hi = lo + 1
-                while hi < n and ds[hi] - ds[lo] <= abs_tol:
-                    hi += 1
-                for t in range(lo + 1, hi):
-                    k, l = int(order[lo]), int(order[t])
-                    if k > l:
-                        k, l = l, k
-                    violations.append((i, j, k, l))
+    truncated = _collect_near_ties(inst.costs.c, tol * inst.costs.max_abs, violations)
     violations.sort()
     return GenericityReport(
         generic=not violations,
         violations=tuple(violations),
         tolerance=tol,
-        sampled=False,
-        quadruples_checked=nominal,
+        truncated=truncated,
     )
 
 
-def _genericity_sampled(c, m, n, tol, abs_tol, budget, seed):
-    rng = np.random.default_rng(seed)
-    count = int(budget)
-    i = rng.integers(0, m, size=count)
-    j = rng.integers(0, m - 1, size=count)
-    j = np.where(j >= i, j + 1, j)
-    k = rng.integers(0, n, size=count)
-    l = rng.integers(0, n - 1, size=count)
-    l = np.where(l >= k, l + 1, l)
-    gap = np.abs(c[i, k] + c[j, l] - c[i, l] - c[j, k])
-    bad = np.flatnonzero(gap <= abs_tol)
-    seen = set()
-    for idx in bad:
-        a, b = int(i[idx]), int(j[idx])
-        if a > b:
-            a, b = b, a
-        u, w = int(k[idx]), int(l[idx])
-        if u > w:
-            u, w = w, u
-        seen.add((a, b, u, w))
-    violations = tuple(sorted(seen))
-    return GenericityReport(
-        generic=not violations,
-        violations=violations,
-        tolerance=tol,
-        sampled=True,
-        quadruples_checked=count,
-    )
+def _collect_near_ties(c, abs_tol, out):
+    """Append near-ties (i, j, k, l) to ``out``; True when the list limit cut the scan."""
+    m, n = c.shape
+    for i in range(m - 1):
+        d = c[i] - c[i + 1:]
+        order = np.argsort(d, axis=1, kind="stable")
+        ds = np.take_along_axis(d, order, axis=1)
+        close = np.diff(ds, axis=1) <= abs_tol
+        for r in np.flatnonzero(close.any(axis=1)):
+            j = i + 1 + int(r)
+            row, perm = ds[r], order[r]
+            # two-pointer sweep over sorted differences: all (k, l) with
+            # |d_k - d_l| <= abs_tol appear as pairs inside a sliding window,
+            # and a window can only start where the next gap is close
+            hi = 0
+            for lo in np.flatnonzero(close[r]):
+                if hi < lo + 1:
+                    hi = lo + 1
+                while hi < n and row[hi] - row[lo] <= abs_tol:
+                    hi += 1
+                for t in range(lo + 1, hi):
+                    if len(out) == VIOLATION_LIST_LIMIT:
+                        return True
+                    k, l = int(perm[lo]), int(perm[t])
+                    if k > l:
+                        k, l = l, k
+                    out.append((i, j, k, l))
+    return False

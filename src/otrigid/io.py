@@ -147,8 +147,3 @@ def save_decomposition_json(dec: PermutationDecomposition, path):
     with open(path, "w") as fh:
         json.dump(decomposition_to_dict(dec), fh)
         fh.write("\n")
-
-
-def load_decomposition_json(path) -> PermutationDecomposition:
-    with open(path) as fh:
-        return decomposition_from_dict(json.load(fh))

@@ -22,7 +22,7 @@ _MAX_PIVOTS = 50_000_000  # safety valve; never hit in practice
 _DEGENERATE_SWITCH = 1000  # consecutive zero-step pivots before Bland takes over
 _REFRESH_EVERY = 1024  # full potential recompute cadence (caps rounding drift)
 _ENTER_TOL = 1e-11  # entering threshold relative to max|c|; filters potential
-# propagation noise on exactly tied costs (e.g. duplicated dummy rows), which
+# propagation noise on exactly tied costs (e.g. duplicated points), which
 # otherwise produces endless zero-improvement pivots
 
 
@@ -70,16 +70,6 @@ class TransportPlan:
 
     def flow_dict(self):
         return {(i, j): f for i, j, f in self.flows}
-
-    def targets_of(self, i):
-        """Sorted target indices receiving positive mass from source i."""
-        return [j for ii, j, _ in self.flows if ii == i]
-
-    def to_dense(self):
-        dense = np.zeros((self.m, self.n), dtype=np.int64)
-        for i, j, f in self.flows:
-            dense[i, j] = f
-        return dense
 
 
 @dataclass(frozen=True)

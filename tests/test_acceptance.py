@@ -15,9 +15,8 @@ import pytest
 
 from otrigid import (
     brute_force_solve,
-    cost_from_points,
     find_crossings,
-    gen_points,
+    gen_point_instance,
     gen_random_costs,
     gcd_construct,
     genericity_check,
@@ -44,9 +43,7 @@ def _report(num, ok, detail):
 
 
 def _w2_instance(m, n, seed):
-    x = gen_points("uniform-square", m, 2, seed)
-    y = gen_points("uniform-square", n, 2, seed + 10_000_019)
-    return cost_from_points(x, y, 2.0)
+    return gen_point_instance("uniform-square", m, n, 2.0, seed)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +57,7 @@ def rigidity_corpus():
         n = int(rng.integers(m, 201))
         inst = gen_random_costs(m, n, seed)
         seed += 1
-        if not genericity_check(inst, full=True).generic:
+        if not genericity_check(inst).generic:
             continue  # exact tie: draw a fresh instance
         out.append((inst, solve(inst)))
     return out
@@ -146,7 +143,7 @@ def test_criterion_3_noncrossing(oracle_corpus):
     crossings = 0
     checked = 0
     for inst, plan, res in oracle_corpus:
-        if not genericity_check(inst, full=True).generic:
+        if not genericity_check(inst).generic:
             continue
         checked += 1
         crossings += len(find_crossings(plan))
@@ -185,9 +182,7 @@ def test_criterion_5_fig1_gcd_bounds():
     ok = True
     for ell in (10, 40):
         m, n = 2 * ell, 3 * ell
-        x = gen_points("uniform-square", m, 2, ell)
-        y = gen_points("uniform-square", n, 2, ell + 10_000_019)
-        inst = cost_from_points(x, y, 1.0)
+        inst = gen_point_instance("uniform-square", m, n, 1.0, ell)
         constructed = gcd_construct(inst)
         solved = solve(inst)
         rep_c = rigidity_report(constructed)

@@ -197,7 +197,9 @@ def test_cli_end_to_end(tmp_path, capsys):
                  "--out-plan", str(plan_path), "--out-stats", str(stats_path)]) == 0
     solved = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert solved["scale"] == 12
-    assert main(["genericity", "--instance", str(inst_path), "--full"]) == 0
+    assert main(["genericity", "--instance", str(inst_path)]) == 0
+    scan = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert scan["truncated"] is False
     assert main(["analyze", "--instance", str(inst_path), "--plan", str(plan_path)]) == 0
     stats = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert stats == json.loads(stats_path.read_text())
@@ -241,11 +243,10 @@ def test_cli_experiment(tmp_path, capsys):
 def test_cli_exit_codes(tmp_path):
     assert main(["solve", "--instance", str(tmp_path / "missing.json")]) == 2
     inst_path = tmp_path / "inst.json"
-    assert main(["gen", "--random-costs", "--m", "3", "--n", "7",
-                 "--seed", "0", "--out", str(inst_path)]) == 0
-    # lcm(3,7) = 21 > guard 20: validation error
-    assert main(["gcd-construct", "--instance", str(inst_path), "--guard", "20",
-                 "--out", str(tmp_path / "x.csv")]) == 1
+    # m = 0: validation error
+    assert main(["gen", "--random-costs", "--m", "0", "--n", "7",
+                 "--seed", "0", "--out", str(inst_path)]) == 1
+    assert not inst_path.exists()
 
 
 def test_cli_gen_deterministic(tmp_path):
@@ -254,3 +255,12 @@ def test_cli_gen_deterministic(tmp_path):
         assert main(["gen", "--dist", "gaussian", "--m", "3", "--n", "5",
                      "--p", "2", "--seed", "9", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_star_import_resolves_all():
+    import otrigid
+
+    namespace = {}
+    exec("from otrigid import *", namespace)
+    for name in otrigid.__all__:
+        assert namespace[name] is getattr(otrigid, name)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from otrigid import (
     CostMatrix,
     Instance,
+    PointCloud,
     cost_from_points,
     gen_points,
     gen_random_costs,
     genericity_check,
     perturb,
 )
+from otrigid.instance import VIOLATION_LIST_LIMIT
 
 
 def test_gen_points_uniform_range():
@@ -102,7 +105,6 @@ def test_genericity_hand_scan():
     inst = Instance(CostMatrix(np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])))
     rep = genericity_check(inst)
     assert rep.generic
-    assert rep.quadruples_checked == 3
 
 
 def test_genericity_vacuous_for_single_row_or_col():
@@ -129,15 +131,66 @@ def test_genericity_finds_planted_tie():
     assert (0, 2, 3, 5) in rep.violations
 
 
-def test_genericity_sampled_mode():
-    # nominal quadruple count 3 * (12000 choose 2) ~ 2e8 exceeds the budget
+def test_genericity_exact_on_long_rows():
+    # 3 * (12000 choose 2) ~ 2e8 quadruples, one planted tie among them
     inst = gen_random_costs(3, 12000, 0)
-    rep = genericity_check(inst, sample_budget=10**5)
-    assert rep.sampled
-    assert rep.generic
-    full = genericity_check(inst, full=True)
-    assert not full.sampled
-    assert full.generic
+    assert genericity_check(inst).generic
+    c = inst.costs.c.copy()
+    c[2, 11999] = c[0, 11999] + c[2, 5] - c[0, 5]
+    rep = genericity_check(Instance(CostMatrix(c)))
+    assert rep.violations == ((0, 2, 5, 11999),)
+    assert not rep.truncated
+
+
+def _brute_force_near_ties(c, tol):
+    """Every quadruple, with the scan's own rounding: (c_ik - c_jk) - (c_il - c_jl)."""
+    m, n = c.shape
+    abs_tol = tol * float(np.max(np.abs(c)))
+    return tuple(
+        (i, j, k, l)
+        for i in range(m)
+        for j in range(i + 1, m)
+        for k in range(n)
+        for l in range(k + 1, n)
+        if abs((c[i, k] - c[j, k]) - (c[i, l] - c[j, l])) <= abs_tol
+    )
+
+
+def _near_tie_corpus():
+    rng = np.random.default_rng(31)
+    corpus = [np.zeros((3, 4)), rng.random((5, 7)), rng.random((6, 3))]
+    corpus += [np.round(rng.random((4, 6)), digits) for digits in (1, 2)]
+    planted = rng.random((4, 6))
+    planted[2, 5] = planted[0, 5] + planted[2, 3] - planted[0, 3]
+    corpus.append(planted)
+    base = rng.random((3, 4))
+    corpus.append(base[[0, 1, 2, 0]][:, [0, 1, 2, 3, 1]])  # duplicated row and column
+    grid = np.array([(a, b) for a in range(3) for b in range(3)], dtype=float)
+    for p in (1.0, 2.0):
+        lattice = cost_from_points(
+            PointCloud(grid[:5], "source"), PointCloud(grid[2:], "target"), p
+        )
+        corpus.append(lattice.costs.c)
+    return corpus
+
+
+def test_genericity_matches_brute_force():
+    for c in _near_tie_corpus():
+        for tol in (0.0, 1e-12, 1e-6, 1e-2, 1.0):
+            rep = genericity_check(Instance(CostMatrix(c)), tol=tol)
+            assert not rep.truncated
+            assert rep.violations == _brute_force_near_ties(c, tol), (c.shape, tol)
+
+
+def test_genericity_list_truncated_on_all_zero():
+    inst = Instance(CostMatrix(np.zeros((50, 2222))))  # ~3e9 violations
+    start = time.perf_counter()
+    rep = genericity_check(inst)
+    elapsed = time.perf_counter() - start
+    assert not rep.generic
+    assert rep.truncated
+    assert len(rep.violations) == VIOLATION_LIST_LIMIT
+    assert elapsed < 1.0
 
 
 def test_perturb_bound_and_determinism():
