@@ -16,6 +16,14 @@ import numpy as np
 DEFAULT_GENERICITY_TOL = 1e-12
 DEFAULT_PERTURB_ETA = 1e-9
 
+# Largest accepted |c_ij|. Below it the solver's and the scan's floats cannot
+# overflow for any m + n < 2**26: cost differences and the genericity scan's
+# four-term sums stay within 4 * 2**996; tree potentials, being alternating
+# sums along a path of at most m + n - 1 arcs, stay within (m + n) * 2**996,
+# and reduced costs c_ij - u_i - v_j within (2(m + n) + 1) * 2**996. Beyond
+# it c[i] - c[j] can round to inf, and inf - inf = nan then hides exact ties.
+MAX_ABS_COST = 2.0**996
+
 # Most violations a GenericityReport lists. Hostile input (all-zero costs) has
 # ~m^2 n^2 / 4 of them, so the list stops here; the verdict stays exact.
 VIOLATION_LIST_LIMIT = 10_000
@@ -46,7 +54,7 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense m x n matrix of finite transport costs."""
+    """Dense m x n matrix of finite transport costs with |c_ij| <= MAX_ABS_COST."""
 
     c: np.ndarray
 
@@ -56,6 +64,8 @@ class CostMatrix:
             raise ValueError("cost matrix must be 2-dimensional and non-empty")
         if not np.all(np.isfinite(c)):
             raise ValueError("cost matrix entries must all be finite")
+        if np.max(np.abs(c)) > MAX_ABS_COST:
+            raise ValueError("cost matrix entries must satisfy |c_ij| <= 2**996")
         object.__setattr__(self, "c", c)
 
     @property

@@ -2,9 +2,12 @@
 
 Flows are integers at scale S (a multiple of lcm(m, n)); each source emits
 S/m units and each target absorbs S/n units.  The solver maintains a
-spanning-tree basis on the bipartite graph K_{m,n}, starts from the
-northwest-corner basis and pivots with Bland's rule, so termination is
-guaranteed under degeneracy and the returned plan is a polytope vertex.
+spanning-tree basis on the bipartite graph K_{m,n}, rooted at source 0 and
+kept as parent and children lists, so a pivot walks only its cycle and the
+subtree it re-hangs.  It starts from a least-cost (matrix-minimum) basis
+and enters the most negative reduced cost (Dantzig); a long run of
+degenerate pivots switches it for good to Bland's rule, which cannot cycle,
+so termination is guaranteed and the returned plan is a polytope vertex.
 """
 from __future__ import annotations
 
@@ -96,98 +99,103 @@ class SupportCycleError(ValueError):
     """The plan's support contains a cycle, so it is not a basic solution."""
 
 
-def _northwest_corner(m, n, supply, demand):
-    """Initial spanning-tree basis: staircase allocation, m+n-1 arcs."""
-    flows = {}
-    i = j = 0
+def _least_cost_basis(c_np, supply, demand):
+    """Initial spanning-tree basis: matrix-minimum allocation, m+n-1 arcs.
+
+    Arcs are visited in ascending cost (stable, so ties go in row-major
+    order) and each gets as much flow as its row and column still allow.
+    Every allocation exhausts a row or a column, so the positive arcs form a
+    forest; zero-flow arcs in the same order complete it to a spanning tree
+    (Kruskal).  Returns {arc index i*n+j: flow}.
+    """
+    m, n = c_np.shape
+    order = np.argsort(c_np, axis=None, kind="stable")
+    arcs = (order.tolist(), (order // n).tolist(), (order % n).tolist())
     rem_rows = [supply] * m
     rem_cols = [demand] * n
-    while True:
-        q = min(rem_rows[i], rem_cols[j])
-        flows[(i, j)] = q
-        rem_rows[i] -= q
-        rem_cols[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        if rem_rows[i] == 0 and i < m - 1:
-            i += 1
-        else:
-            j += 1
+    flows = {}
+    rows_left = m
+    for k, i, j in zip(*arcs):
+        if rem_rows[i] and rem_cols[j]:
+            q = min(rem_rows[i], rem_cols[j])
+            flows[k] = q
+            rem_rows[i] -= q
+            rem_cols[j] -= q
+            if not rem_rows[i]:
+                rows_left -= 1
+                if not rows_left:  # every row empty, hence every column too
+                    break
+
+    root = list(range(m + n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for k in flows:
+        i, j = divmod(k, n)
+        root[find(i)] = find(m + j)
+    if len(flows) < m + n - 1:
+        for k, i, j in zip(*arcs):
+            a, b = find(i), find(m + j)
+            if a != b:
+                root[a] = b
+                flows[k] = 0
+                if len(flows) == m + n - 1:
+                    break
     return flows
 
 
-def _potentials(adj, c, m, n):
-    """Propagate u_i + v_j = c_ij along the spanning tree, u_0 = 0.
+def _rooted_tree(flows, m, n):
+    """Root the spanning tree on arcs ``flows`` (by i*n+j) at source 0.
 
-    ``c`` is a nested list; returns plain float lists.
+    Nodes are sources 0..m-1 and targets m..m+n-1.  Returns (parent,
+    children) as plain lists, with parent[0] = -1.
     """
-    u = [0.0] * m
-    v = [0.0] * n
-    seen = bytearray(m + n)
-    seen[0] = 1
+    adj = [[] for _ in range(m + n)]
+    for k in flows:
+        i, j = divmod(k, n)
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent = [-1] * (m + n)
+    children = [[] for _ in range(m + n)]
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for nb in adj[x]:
+            if nb != parent[x]:
+                parent[nb] = x
+                children[x].append(nb)
+                stack.append(nb)
+    return parent, children
+
+
+def _tree_potentials(children, c, m, n):
+    """Propagate u_i + v_j = c_ij down the tree from u_0 = 0.
+
+    ``c`` is a nested list.  Returns one array w with w_i = u_i for a source
+    and w_{m+j} = -v_j for a target: reduced costs are c_ij - w_i + w_{m+j},
+    and shifting u by -d and v by +d on a subtree is w -= d on its nodes.
+    """
+    w = [0.0] * (m + n)
     stack = [0]
     while stack:
         node = stack.pop()
+        kids = children[node]
         if node < m:
-            ui = u[node]
+            ui = w[node]
             crow = c[node]
-            for nb in adj[node]:
-                if not seen[nb]:
-                    seen[nb] = 1
-                    v[nb - m] = crow[nb - m] - ui
-                    stack.append(nb)
+            for t in kids:
+                w[t] = ui - crow[t - m]
         else:
-            vj = v[node - m]
-            for nb in adj[node]:
-                if not seen[nb]:
-                    seen[nb] = 1
-                    u[nb] = c[nb][node - m] - vj
-                    stack.append(nb)
-    return u, v
-
-
-def _shift_subtree(adj, u, v, m, n, ei, ej, delta):
-    """Shift potentials on the entering arc's target-side component by delta.
-
-    Global shifts leave all reduced costs invariant, so only the component of
-    the new tree reachable from target ej without crossing the entering arc
-    needs adjusting: v += delta, u -= delta there restores tightness.
-    """
-    seen = bytearray(m + n)
-    seen[ei] = 1  # block the entering arc itself
-    seen[m + ej] = 1
-    v[ej] += delta
-    stack = [m + ej]
-    while stack:
-        node = stack.pop()
-        for nb in adj[node]:
-            if not seen[nb]:
-                seen[nb] = 1
-                if nb < m:
-                    u[nb] -= delta
-                else:
-                    v[nb - m] += delta
-                stack.append(nb)
-
-
-def _tree_path(adj, a, b, nnodes):
-    """Node path a..b in the spanning tree."""
-    parent = [-2] * nnodes
-    parent[a] = -1
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if x == b:
-            break
-        for nb in adj[x]:
-            if parent[nb] == -2:
-                parent[nb] = x
-                stack.append(nb)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+            minus_vj = w[node]
+            j = node - m
+            for i in kids:
+                w[i] = c[i][j] + minus_vj
+        stack.extend(kids)
+    return np.array(w)
 
 
 def solve(inst: Instance) -> TransportPlan:
@@ -196,87 +204,126 @@ def solve(inst: Instance) -> TransportPlan:
     S = inst.scale
     c_np = inst.costs.c
     c = c_np.tolist()
-    supply = S // m
-    demand = S // n
 
-    flows = _northwest_corner(m, n, supply, demand)
-    nnodes = m + n
-    adj = [set() for _ in range(nnodes)]
-    for (i, j) in flows:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
-    basic_mask = np.zeros(m * n, dtype=bool)
-    for (i, j) in flows:
-        basic_mask[i * n + j] = True
+    flows = _least_cost_basis(c_np, S // m, S // n)  # tree arcs, by i*n+j
+    basis = np.fromiter(flows, dtype=np.intp, count=len(flows))
+    slot = {k: t for t, k in enumerate(flows)}  # arc -> position in basis
+    parent, children = _rooted_tree(flows, m, n)
+    w = _tree_potentials(children, c, m, n)
 
-    u, v = _potentials(adj, c, m, n)
+    mark = [0] * (m + n)  # apex search: last pivot tag that climbed a node
     enter_cut = -_ENTER_TOL * inst.costs.max_abs
+    red = np.empty((m, n))  # reduced costs, basic arcs zeroed
+    flat = red.reshape(-1)
     degenerate_run = 0
     bland = False
     refreshed = True  # potentials are exact tree propagations, not shifted
     for pivot in range(_MAX_PIVOTS):
         if pivot % _REFRESH_EVERY == _REFRESH_EVERY - 1 and not refreshed:
-            u, v = _potentials(adj, c, m, n)
+            w = _tree_potentials(children, c, m, n)
             refreshed = True
-        flat = (
-            (c_np - np.asarray(u)[:, None]) - np.asarray(v)[None, :]
-        ).ravel()
+        np.subtract(c_np, w[:m, None], out=red)
+        np.add(red, w[None, m:], out=red)
+        flat[basis] = 0.0
         if bland:
             cand = np.flatnonzero(flat < enter_cut)
-            if cand.size:
-                cand = cand[~basic_mask[cand]]
             no_entering = cand.size == 0
             enter = int(cand[0]) if cand.size else -1  # Bland: lowest index
         else:
-            masked = np.where(basic_mask, 0.0, flat)
-            enter = int(np.argmin(masked))  # Dantzig: most negative, lowest index
-            no_entering = masked[enter] >= enter_cut
+            enter = int(np.argmin(flat))  # Dantzig: most negative, lowest index
+            no_entering = flat[enter] >= enter_cut
         if no_entering:
             if refreshed:
                 break
             # incremental shifts accumulate rounding; confirm optimality
             # against freshly propagated potentials before stopping
-            u, v = _potentials(adj, c, m, n)
+            w = _tree_potentials(children, c, m, n)
             refreshed = True
             continue
         ei, ej = divmod(enter, n)
 
-        path = _tree_path(adj, ei, m + ej, nnodes)
-        minus = []
-        plus = []
-        for t in range(len(path) - 1):
-            a, b = path[t], path[t + 1]
-            arc = (a, b - m) if a < m else (b, a - m)
-            (minus if t % 2 == 0 else plus).append(arc)
-        theta = min(flows[a] for a in minus)
+        # the apex of the cycle is the first node one endpoint reaches that
+        # the other has already climbed through; climbing both in turn stops
+        # within twice the longer side, so no depth array is kept
+        tag_a, tag_b = 2 * pivot + 1, 2 * pivot + 2
+        a, b = ei, m + ej
+        mark[a] = tag_a
+        mark[b] = tag_b
+        while True:
+            if a:  # node 0 is the root
+                a = parent[a]
+                if mark[a] == tag_b:
+                    apex = a
+                    break
+                mark[a] = tag_a
+            if b:
+                b = parent[b]
+                if mark[b] == tag_a:
+                    apex = b
+                    break
+                mark[b] = tag_b
+
+        # flow rises on the entering arc, so on the tree path from ei to ej
+        # it falls on every arc walked source -> target: climbing from ei,
+        # an arc whose child is a source; climbing from ej, one whose child
+        # is a target
+        cycle = []  # (arc index, falls, child endpoint, child on ei's side)
+        for x, on_a in ((ei, True), (m + ej, False)):
+            while x != apex:
+                p = parent[x]
+                arc = x * n + p - m if x < m else p * n + x - m
+                cycle.append((arc, (x < m) == on_a, x, on_a))
+                x = p
+        theta = min(flows[k] for k, falls, _, _ in cycle if falls)
         if not bland:
             # Dantzig can stall on degenerate pivots; a long zero-step run
             # switches permanently to Bland's rule, which cannot cycle
             degenerate_run = degenerate_run + 1 if theta == 0 else 0
             if degenerate_run > _DEGENERATE_SWITCH:
                 bland = True
-        leaving = min(
-            (a for a in minus if flows[a] == theta), key=lambda a: a[0] * n + a[1]
+        leaving, _, out, on_a = min(
+            arc for arc in cycle if arc[1] and flows[arc[0]] == theta
         )
-        for a in minus:
-            flows[a] -= theta
-        for a in plus:
-            flows[a] += theta
-        flows[(ei, ej)] = theta
+        if theta:
+            for k, falls, _, _ in cycle:
+                flows[k] += -theta if falls else theta
+        flows[enter] = theta
         del flows[leaving]
-        adj[leaving[0]].discard(m + leaving[1])
-        adj[m + leaving[1]].discard(leaving[0])
-        adj[ei].add(m + ej)
-        adj[m + ej].add(ei)
-        basic_mask[leaving[0] * n + leaving[1]] = False
-        basic_mask[enter] = True
-        _shift_subtree(adj, u, v, m, n, ei, ej, float(flat[enter]))
+        t = slot.pop(leaving)
+        basis[t] = enter
+        slot[enter] = t
+
+        # dropping the leaving arc detaches the subtree under ``out``; it
+        # holds the entering endpoint q on out's side of the cycle.  Re-hang
+        # it from the other endpoint r by reversing the parent pointers on
+        # the path q .. out, then shift the subtree's potentials so that the
+        # entering arc becomes tight (the root side keeps u_0 = 0)
+        q, r = (ei, m + ej) if on_a else (m + ej, ei)
+        # w -= delta on the subtree changes the entering reduced cost
+        # c - w_ei + w_{m+ej} by -delta when q = m+ej and by +delta when q = ei
+        delta = float(flat[enter])
+        if q < m:
+            delta = -delta
+        children[parent[out]].remove(out)
+        prev, x = r, q
+        while True:
+            up = parent[x]
+            parent[x] = prev
+            children[prev].append(x)
+            if x == out:
+                break
+            children[up].remove(x)
+            prev, x = x, up
+        subtree = [q]
+        for x in subtree:
+            subtree.extend(children[x])
+        w[subtree] -= delta
         refreshed = False
     else:
         raise RuntimeError("network simplex exceeded the pivot safety limit")
 
     support = tuple(
-        (i, j, int(f)) for (i, j), f in sorted(flows.items()) if f >= 1
+        (k // n, k % n, f) for k, f in sorted(flows.items()) if f >= 1
     )
     plan = TransportPlan(m, n, S, support)
     return plan

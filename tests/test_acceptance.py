@@ -5,6 +5,7 @@ lines and timings.  The heavy corpora (200 random rigidity instances, the
 50x2222 and 7x2000 experiment runs) are solved once in module-scoped fixtures
 and shared across criteria.
 """
+import hashlib
 import json
 import math
 import time
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from otrigid import (
+    ExperimentSpec,
     brute_force_solve,
     find_crossings,
     gen_point_instance,
@@ -32,8 +34,21 @@ from otrigid import (
     uncross,
     TransportPlan,
 )
+from otrigid.experiments import build_instance
+from otrigid.io import plan_csv_lines
 
 REL = 1e-12
+
+# sha256 over the plan CSV lines of every plan of a corpus, in corpus order.
+# Recorded from the solver's northwest-corner start with Dantzig-then-Bland
+# pivots; a change to the start or the tree bookkeeping must return the very
+# same plans (continuous random costs make each optimum unique).
+PLAN_DIGESTS = {
+    "criterion 4": "c921b2925bdc7105c70d37f813cfefae5a3c02f7a2853289530fd49b8c6b8541",
+    "sec22 s0-9": "6576220ed5bda84284222351b1891830531685e2d401aa4d3db33b8b272292bd",
+    "fig2 s0-9": "594118a46c32090fa61aa5e45c27086a4cf33b782048ca63d8d81a06285ba4ea",
+    "fig1 ell=10 s0-9": "621b9f163107f076836863721256abc4c2b433af3f3be88e16e0db330d65401d",
+}
 
 
 def _report(num, ok, detail):
@@ -312,3 +327,25 @@ def test_criterion_11_roundtrip_determinism(tmp_path):
         ok = ok and json.loads((d / "stats.json").read_text()) == stats_dict(plan_r)
     ok = ok and blobs[0] == blobs[1]
     _report(11, ok, "plan CSV and stats JSON round-trip; repeated runs byte-identical")
+
+
+def _plans_digest(plans):
+    h = hashlib.sha256()
+    for plan in plans:
+        h.update(("\n".join(plan_csv_lines(plan)) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_plan_digests(rigidity_corpus, sec22_runs, fig2_runs):
+    fig1 = ExperimentSpec("fig1", out_dir="", ell=10).resolved()
+    digests = {
+        "criterion 4": _plans_digest(plan for _, plan in rigidity_corpus),
+        "sec22 s0-9": _plans_digest(plan for _, plan, _ in sec22_runs),
+        "fig2 s0-9": _plans_digest(plan for _, plan, _ in fig2_runs),
+        "fig1 ell=10 s0-9": _plans_digest(
+            solve(build_instance(fig1, seed)) for seed in range(10)
+        ),
+    }
+    changed = sorted(k for k in PLAN_DIGESTS if digests[k] != PLAN_DIGESTS[k])
+    _report(12, not changed, f"plans byte-identical on {len(digests)} corpora "
+                             f"(changed: {changed or 'none'})")

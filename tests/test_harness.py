@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,12 @@ def test_cli_exit_codes(tmp_path):
     assert main(["gen", "--random-costs", "--m", "0", "--n", "7",
                  "--seed", "0", "--out", str(inst_path)]) == 1
     assert not inst_path.exists()
+    # costs beyond MAX_ABS_COST: validation error, not a silent wrong verdict
+    huge_path = tmp_path / "huge.json"
+    huge_path.write_text(json.dumps({"m": 2, "n": 2,
+                                     "costs": [[1e308, 1e308], [-1e308, -1e308]]}))
+    for cmd in ("genericity", "solve"):
+        assert main([cmd, "--instance", str(huge_path)]) == 1
 
 
 def test_cli_gen_deterministic(tmp_path):
@@ -264,3 +274,15 @@ def test_star_import_resolves_all():
     exec("from otrigid import *", namespace)
     for name in otrigid.__all__:
         assert namespace[name] is getattr(otrigid, name)
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

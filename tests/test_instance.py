@@ -14,7 +14,7 @@ from otrigid import (
     genericity_check,
     perturb,
 )
-from otrigid.instance import VIOLATION_LIST_LIMIT
+from otrigid.instance import MAX_ABS_COST, VIOLATION_LIST_LIMIT
 
 
 def test_gen_points_uniform_range():
@@ -232,3 +232,15 @@ def test_cost_matrix_rejects_nonfinite():
         CostMatrix(np.array([[0.0, np.nan]]))
     with pytest.raises(ValueError):
         CostMatrix(np.array([[np.inf]]))
+
+
+def test_cost_matrix_rejects_magnitudes_that_overflow():
+    # an exact tie whose differences overflow: c[0] - c[1] = 2e308 -> inf
+    with pytest.raises(ValueError):
+        CostMatrix(np.array([[1e308, 1e308], [-1e308, -1e308]]))
+    with pytest.raises(ValueError):
+        CostMatrix(np.array([[0.0, -(2.0**997)]]))
+    assert CostMatrix(np.array([[MAX_ABS_COST, -MAX_ABS_COST]])).max_abs == MAX_ABS_COST
+    # below the bound, a tie at 1e150 is still seen exactly
+    tie = Instance(CostMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]) * 1e150))
+    assert not genericity_check(tie).generic

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,11 @@ from hypothesis import strategies as st
 from otrigid import (
     CostMatrix,
     Instance,
+    PointCloud,
     SupportCycleError,
     TransportPlan,
+    brute_force_solve,
+    cost_from_points,
     find_crossings,
     gen_random_costs,
     genericity_check,
@@ -84,6 +89,53 @@ def test_solve_feasible_and_certified(m, n, seed):
     plan = solve(inst)
     plan.validate()
     assert verify_optimality(inst, plan) is not None
+
+
+def _lattice_w1(m, n, seed):
+    # integer grid points with forced duplicates: many exact ties
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, (m, 2)).astype(float)
+    y = rng.integers(0, 3, (n, 2)).astype(float)
+    x[-1] = x[0]
+    y[-1] = y[0]
+    return cost_from_points(PointCloud(x, "source"), PointCloud(y, "target"), 1.0).costs.c
+
+
+def _hostile_costs():
+    """(id, cost matrix) pairs: exact ties, degenerate shapes, extreme scale."""
+    cases = [("zeros-50x2222", np.zeros((50, 2222)))]
+    for m, n in ((1, 1), (1, 5), (5, 1), (2, 2), (3, 4), (4, 3), (7, 3), (9, 4)):
+        cases.append((f"zeros-{m}x{n}", np.zeros((m, n))))
+    for m, n, seed in ((2, 3, 0), (3, 3, 1), (4, 4, 2), (3, 5, 3), (5, 3, 4),
+                       (6, 9, 5), (12, 8, 6), (20, 30, 7)):
+        cases.append((f"lattice-w1-{m}x{n}", _lattice_w1(m, n, seed)))
+    for m, n in ((1, 6), (6, 1), (2, 8), (4, 4), (8, 2), (5, 3), (10, 25), (25, 10)):
+        rng = np.random.default_rng(100 * m + n)
+        cases.append((f"zero-one-{m}x{n}", rng.integers(0, 2, (m, n)).astype(float)))
+    for m, n in ((1, 7), (7, 1), (3, 2), (6, 4), (11, 5)):
+        cases.append((f"random-{m}x{n}", gen_random_costs(m, n, m * n).costs.c))
+    for sign in (1.0, -1.0):
+        cases.append((f"scaled-{sign:+.0f}e150-random-4x4",
+                      sign * 1e150 * gen_random_costs(4, 4, 11).costs.c))
+        cases.append((f"scaled-{sign:+.0f}e150-lattice-6x8",
+                      sign * 1e150 * _lattice_w1(6, 8, 12)))
+    cases.append(("scaled-1e150-zero-one-3x5",
+                  1e150 * np.random.default_rng(13).integers(0, 2, (3, 5))))
+    return cases
+
+
+@pytest.mark.parametrize("c", [pytest.param(c, id=name) for name, c in _hostile_costs()])
+def test_solve_hostile_costs(c):
+    inst = Instance(CostMatrix(c))
+    start = time.perf_counter()
+    plan = solve(inst)
+    elapsed = time.perf_counter() - start
+    plan.validate()
+    assert verify_optimality(inst, plan) is not None
+    if inst.m * inst.n <= 16:
+        optimal = brute_force_solve(inst).optimal_plans
+        assert plan.flows in {p.flows for p in optimal}
+    assert elapsed < 1.0
 
 
 def test_objective_zero_costs():
