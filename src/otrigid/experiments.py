@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import instance as inst_mod
 from .instance import Instance, genericity_check, perturb
-from .io import save_plan_csv, save_stats_json, stats_dict
+from .io import save_plan_csv, stats_dict, write_stats_json
 from .solver import solve
 from .svg import emit_svg
 
@@ -80,7 +80,7 @@ def run_seed(spec: ExperimentSpec, seed: int, out_dir: Optional[str] = None) -> 
     }
     if out_dir is not None:
         save_plan_csv(plan, os.path.join(out_dir, f"seed{seed:04d}_plan.csv"))
-        save_stats_json(plan, os.path.join(out_dir, f"seed{seed:04d}_stats.json"))
+        write_stats_json(stats, os.path.join(out_dir, f"seed{seed:04d}_stats.json"))
         if inst.geometry is not None:
             emit_svg(inst, plan, os.path.join(out_dir, f"seed{seed:04d}.svg"))
     return record

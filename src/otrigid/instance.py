@@ -190,8 +190,10 @@ def gen_random_costs(m, n, seed) -> Instance:
 def perturb(inst: Instance, eta: float, seed) -> Instance:
     """Add iid uniform [0, eta*max|c|) jitter to every cost entry.
 
-    Geometry is dropped: the perturbed costs are no longer exact powers of
-    distances.  Deterministic per seed.
+    An entry that the jitter would push past MAX_ABS_COST has it subtracted
+    instead, which keeps it within the bound whenever eta <= 1.  Geometry is
+    dropped: the perturbed costs are no longer exact powers of distances.
+    Deterministic per seed.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -200,7 +202,10 @@ def perturb(inst: Instance, eta: float, seed) -> Instance:
     if scale == 0.0:
         scale = 1.0  # all-zero costs still get absolute jitter in [0, eta)
     jitter = rng.random(inst.costs.c.shape) * (eta * scale)
-    return Instance(CostMatrix(inst.costs.c + jitter))
+    c = inst.costs.c + jitter
+    over = c > MAX_ABS_COST
+    c[over] = inst.costs.c[over] - jitter[over]
+    return Instance(CostMatrix(c))
 
 
 def genericity_check(inst: Instance, tol: float = DEFAULT_GENERICITY_TOL) -> GenericityReport:
@@ -236,12 +241,13 @@ def _collect_near_ties(c, abs_tol, out):
     m, n = c.shape
     for i in range(m - 1):
         d = c[i] - c[i + 1:]
-        order = np.argsort(d, axis=1, kind="stable")
-        ds = np.take_along_axis(d, order, axis=1)
-        close = np.diff(ds, axis=1) <= abs_tol
+        close = np.diff(np.sort(d, axis=1), axis=1) <= abs_tol
+        # a generic instance flags no row, so only flagged rows pay for the
+        # indirect sort that names the targets
         for r in np.flatnonzero(close.any(axis=1)):
             j = i + 1 + int(r)
-            row, perm = ds[r], order[r]
+            perm = np.argsort(d[r], kind="stable")
+            row = d[r][perm]
             # two-pointer sweep over sorted differences: all (k, l) with
             # |d_k - d_l| <= abs_tol appear as pairs inside a sliding window,
             # and a window can only start where the next gap is close

@@ -121,8 +121,13 @@ def stats_dict(plan: TransportPlan, crossings: int | None = None) -> dict:
 
 
 def save_stats_json(plan: TransportPlan, path, crossings=None):
+    write_stats_json(stats_dict(plan, crossings), path)
+
+
+def write_stats_json(stats: dict, path):
+    """Write a ``stats_dict`` payload as the stats JSON file."""
     with open(path, "w") as fh:
-        json.dump(stats_dict(plan, crossings), fh, sort_keys=True)
+        json.dump(stats, fh, sort_keys=True)
         fh.write("\n")
 
 

@@ -4,10 +4,22 @@ Flows are integers at scale S (a multiple of lcm(m, n)); each source emits
 S/m units and each target absorbs S/n units.  The solver maintains a
 spanning-tree basis on the bipartite graph K_{m,n}, rooted at source 0 and
 kept as parent and children lists, so a pivot walks only its cycle and the
-subtree it re-hangs.  It starts from a least-cost (matrix-minimum) basis
-and enters the most negative reduced cost (Dantzig); a long run of
-degenerate pivots switches it for good to Bland's rule, which cannot cycle,
-so termination is guaranteed and the returned plan is a polytope vertex.
+subtree it re-hangs.
+
+It pivots on an exactly perturbed integer problem (see
+``_perturbed_marginals``) whose every basis is nondegenerate: each pivot
+moves at least one unit and strictly lowers the cost, so no entering rule
+can cycle.  Reduced costs depend only on the basis, so the optimal perturbed
+basis is an optimal basis of the real problem, whose flows are read off the
+perturbed ones exactly.  This is the supply-perturbation form of a strongly
+feasible basis (Ahuja, Magnanti & Orlin 1993, section 11.6).
+
+It starts from a least-cost (matrix-minimum) basis.  Pricing keeps a
+candidate list: a full numpy pricing of all m*n arcs keeps the most negative
+ones, each later pivot reprices only those and enters the most negative, and
+a new full pricing runs only when none is left below the entering cut.  The
+solve stops when a full pricing from freshly propagated potentials finds no
+arc below the cut, so the returned plan is an optimal polytope vertex.
 """
 from __future__ import annotations
 
@@ -22,11 +34,15 @@ DEFAULT_DUAL_TOL = 1e-9
 UNCROSS_TIE_TOL = 1e-12
 
 _MAX_PIVOTS = 50_000_000  # safety valve; never hit in practice
-_DEGENERATE_SWITCH = 1000  # consecutive zero-step pivots before Bland takes over
 _REFRESH_EVERY = 1024  # full potential recompute cadence (caps rounding drift)
 _ENTER_TOL = 1e-11  # entering threshold relative to max|c|; filters potential
 # propagation noise on exactly tied costs (e.g. duplicated points), which
-# otherwise produces endless zero-improvement pivots
+# would otherwise enter arcs whose true reduced cost is zero
+# candidate-list length: one per _ARCS_PER_CANDIDATE arcs, at least
+# _MIN_CANDIDATES.  Repricing one arc in Python costs about as much as a numpy
+# pricing of ~100, so a scan of the full list costs about one full pricing
+_ARCS_PER_CANDIDATE = 100
+_MIN_CANDIDATES = 64
 
 
 @dataclass(frozen=True)
@@ -99,23 +115,38 @@ class SupportCycleError(ValueError):
     """The plan's support contains a cycle, so it is not a basic solution."""
 
 
+def _perturbed_marginals(m, n, scale):
+    """(K, supplies, demands) of the perturbed problem that ``solve`` runs on.
+
+    With K = 2m + 1 every source supplies K*S/m + 1 and every target
+    demands K*S/n, the last one K*S/n + m.  No proper non-empty set of nodes
+    then balances its supply and demand, so every basic solution is
+    nondegenerate, and a tree arc carrying f at scale S carries K*f + g with
+    |g| <= m here: f = (f' + m) // K recovers it.
+    """
+    k = 2 * m + 1
+    demand = [k * scale // n] * n
+    demand[-1] += m
+    return k, [k * scale // m + 1] * m, demand
+
+
 def _least_cost_basis(c_np, supply, demand):
-    """Initial spanning-tree basis: matrix-minimum allocation, m+n-1 arcs.
+    """Initial spanning-tree basis: matrix-minimum allocation.
 
     Arcs are visited in ascending cost (stable, so ties go in row-major
     order) and each gets as much flow as its row and column still allow.
     Every allocation exhausts a row or a column, so the positive arcs form a
-    forest; zero-flow arcs in the same order complete it to a spanning tree
-    (Kruskal).  Returns {arc index i*n+j: flow}.
+    forest whose components each balance supply and demand; on perturbed
+    marginals only the whole graph balances, so they are one spanning tree
+    of m+n-1 positive arcs.  Returns {arc index i*n+j: flow}.
     """
     m, n = c_np.shape
     order = np.argsort(c_np, axis=None, kind="stable")
-    arcs = (order.tolist(), (order // n).tolist(), (order % n).tolist())
-    rem_rows = [supply] * m
-    rem_cols = [demand] * n
+    rem_rows = list(supply)
+    rem_cols = list(demand)
     flows = {}
     rows_left = m
-    for k, i, j in zip(*arcs):
+    for k, i, j in zip(order.tolist(), (order // n).tolist(), (order % n).tolist()):
         if rem_rows[i] and rem_cols[j]:
             q = min(rem_rows[i], rem_cols[j])
             flows[k] = q
@@ -124,26 +155,6 @@ def _least_cost_basis(c_np, supply, demand):
             if not rem_rows[i]:
                 rows_left -= 1
                 if not rows_left:  # every row empty, hence every column too
-                    break
-
-    root = list(range(m + n))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for k in flows:
-        i, j = divmod(k, n)
-        root[find(i)] = find(m + j)
-    if len(flows) < m + n - 1:
-        for k, i, j in zip(*arcs):
-            a, b = find(i), find(m + j)
-            if a != b:
-                root[a] = b
-                flows[k] = 0
-                if len(flows) == m + n - 1:
                     break
     return flows
 
@@ -175,7 +186,7 @@ def _rooted_tree(flows, m, n):
 def _tree_potentials(children, c, m, n):
     """Propagate u_i + v_j = c_ij down the tree from u_0 = 0.
 
-    ``c`` is a nested list.  Returns one array w with w_i = u_i for a source
+    ``c`` is a nested list.  Returns one list w with w_i = u_i for a source
     and w_{m+j} = -v_j for a target: reduced costs are c_ij - w_i + w_{m+j},
     and shifting u by -d and v by +d on a subtree is w -= d on its nodes.
     """
@@ -195,7 +206,48 @@ def _tree_potentials(children, c, m, n):
             for i in kids:
                 w[i] = c[i][j] + minus_vj
         stack.extend(kids)
-    return np.array(w)
+    return w
+
+
+def _price(c_np, w, basis, cut, size, red):
+    """Full pricing: the ``size`` most negative arcs with reduced cost < cut.
+
+    Returns them as (i, j) pairs in arc-index order; ``red`` is an m x n
+    buffer.
+    """
+    m, n = red.shape
+    wa = np.array(w)
+    np.subtract(c_np, wa[:m, None], out=red)
+    np.add(red, wa[None, m:], out=red)
+    flat = red.reshape(-1)
+    flat[basis] = 0.0
+    arcs = (flat < cut).nonzero()[0]
+    if arcs.size > size:
+        arcs = np.sort(arcs[np.argpartition(flat[arcs], size - 1)[:size]])
+    return list(zip((arcs // n).tolist(), (arcs % n).tolist()))
+
+
+def _pick(cand, c, w, m, cut):
+    """Reprice the candidates and enter the most negative one.
+
+    Keeps in ``cand`` only the others still below ``cut`` and returns the
+    entering (i, j, reduced cost), or None when no candidate is below it.
+    Ties go to the earliest candidate, so after a full pricing this is
+    Dantzig's rule with the lowest arc index.
+    """
+    best = cut
+    keep = []
+    for i, j in cand:
+        r = c[i][j] - w[i] + w[m + j]
+        if r < cut:
+            if r < best:
+                best, at = r, len(keep)
+            keep.append((i, j))
+    if not keep:
+        return None
+    i, j = keep.pop(at)
+    cand[:] = keep
+    return i, j, best
 
 
 def solve(inst: Instance) -> TransportPlan:
@@ -205,7 +257,8 @@ def solve(inst: Instance) -> TransportPlan:
     c_np = inst.costs.c
     c = c_np.tolist()
 
-    flows = _least_cost_basis(c_np, S // m, S // n)  # tree arcs, by i*n+j
+    K, supply, demand = _perturbed_marginals(m, n, S)
+    flows = _least_cost_basis(c_np, supply, demand)  # tree arcs, by i*n+j
     basis = np.fromiter(flows, dtype=np.intp, count=len(flows))
     slot = {k: t for t, k in enumerate(flows)}  # arc -> position in basis
     parent, children = _rooted_tree(flows, m, n)
@@ -213,34 +266,28 @@ def solve(inst: Instance) -> TransportPlan:
 
     mark = [0] * (m + n)  # apex search: last pivot tag that climbed a node
     enter_cut = -_ENTER_TOL * inst.costs.max_abs
-    red = np.empty((m, n))  # reduced costs, basic arcs zeroed
-    flat = red.reshape(-1)
-    degenerate_run = 0
-    bland = False
+    list_size = max(_MIN_CANDIDATES, m * n // _ARCS_PER_CANDIDATE)
+    red = np.empty((m, n))  # full-pricing buffer
+    cand = []  # candidate list: arcs (i, j) last priced below enter_cut
     refreshed = True  # potentials are exact tree propagations, not shifted
     for pivot in range(_MAX_PIVOTS):
         if pivot % _REFRESH_EVERY == _REFRESH_EVERY - 1 and not refreshed:
             w = _tree_potentials(children, c, m, n)
             refreshed = True
-        np.subtract(c_np, w[:m, None], out=red)
-        np.add(red, w[None, m:], out=red)
-        flat[basis] = 0.0
-        if bland:
-            cand = np.flatnonzero(flat < enter_cut)
-            no_entering = cand.size == 0
-            enter = int(cand[0]) if cand.size else -1  # Bland: lowest index
-        else:
-            enter = int(np.argmin(flat))  # Dantzig: most negative, lowest index
-            no_entering = flat[enter] >= enter_cut
-        if no_entering:
-            if refreshed:
+        entering = _pick(cand, c, w, m, enter_cut)
+        if entering is None:
+            cand = _price(c_np, w, basis, enter_cut, list_size, red)
+            if not cand and not refreshed:
+                # incremental shifts accumulate rounding; confirm optimality
+                # against freshly propagated potentials before stopping
+                w = _tree_potentials(children, c, m, n)
+                refreshed = True
+                cand = _price(c_np, w, basis, enter_cut, list_size, red)
+            entering = _pick(cand, c, w, m, enter_cut)
+            if entering is None:
                 break
-            # incremental shifts accumulate rounding; confirm optimality
-            # against freshly propagated potentials before stopping
-            w = _tree_potentials(children, c, m, n)
-            refreshed = True
-            continue
-        ei, ej = divmod(enter, n)
+        ei, ej, best = entering
+        enter = ei * n + ej
 
         # the apex of the cycle is the first node one endpoint reaches that
         # the other has already climbed through; climbing both in turn stops
@@ -266,27 +313,21 @@ def solve(inst: Instance) -> TransportPlan:
         # flow rises on the entering arc, so on the tree path from ei to ej
         # it falls on every arc walked source -> target: climbing from ei,
         # an arc whose child is a source; climbing from ej, one whose child
-        # is a target
-        cycle = []  # (arc index, falls, child endpoint, child on ei's side)
+        # is a target.  Every basis is nondegenerate, so the falling arc of
+        # least flow is unique and theta >= 1
+        cycle = []  # (arc index, falls)
+        theta = 0
         for x, on_a in ((ei, True), (m + ej, False)):
             while x != apex:
                 p = parent[x]
                 arc = x * n + p - m if x < m else p * n + x - m
-                cycle.append((arc, (x < m) == on_a, x, on_a))
+                falls = (x < m) == on_a
+                cycle.append((arc, falls))
+                if falls and (not theta or flows[arc] < theta):
+                    theta, leaving, out, out_on_a = flows[arc], arc, x, on_a
                 x = p
-        theta = min(flows[k] for k, falls, _, _ in cycle if falls)
-        if not bland:
-            # Dantzig can stall on degenerate pivots; a long zero-step run
-            # switches permanently to Bland's rule, which cannot cycle
-            degenerate_run = degenerate_run + 1 if theta == 0 else 0
-            if degenerate_run > _DEGENERATE_SWITCH:
-                bland = True
-        leaving, _, out, on_a = min(
-            arc for arc in cycle if arc[1] and flows[arc[0]] == theta
-        )
-        if theta:
-            for k, falls, _, _ in cycle:
-                flows[k] += -theta if falls else theta
+        for k, falls in cycle:
+            flows[k] += -theta if falls else theta
         flows[enter] = theta
         del flows[leaving]
         t = slot.pop(leaving)
@@ -298,12 +339,10 @@ def solve(inst: Instance) -> TransportPlan:
         # it from the other endpoint r by reversing the parent pointers on
         # the path q .. out, then shift the subtree's potentials so that the
         # entering arc becomes tight (the root side keeps u_0 = 0)
-        q, r = (ei, m + ej) if on_a else (m + ej, ei)
+        q, r = (ei, m + ej) if out_on_a else (m + ej, ei)
         # w -= delta on the subtree changes the entering reduced cost
         # c - w_ei + w_{m+ej} by -delta when q = m+ej and by +delta when q = ei
-        delta = float(flat[enter])
-        if q < m:
-            delta = -delta
+        delta = -best if q < m else best
         children[parent[out]].remove(out)
         prev, x = r, q
         while True:
@@ -316,14 +355,15 @@ def solve(inst: Instance) -> TransportPlan:
             prev, x = x, up
         subtree = [q]
         for x in subtree:
+            w[x] -= delta
             subtree.extend(children[x])
-        w[subtree] -= delta
         refreshed = False
     else:
         raise RuntimeError("network simplex exceeded the pivot safety limit")
 
+    # a tree arc carries K*f + g with |g| <= m, so (f' + m) // K is f
     support = tuple(
-        (k // n, k % n, f) for k, f in sorted(flows.items()) if f >= 1
+        (k // n, k % n, g) for k, f in sorted(flows.items()) if (g := (f + m) // K)
     )
     plan = TransportPlan(m, n, S, support)
     return plan

@@ -40,14 +40,17 @@ from otrigid.io import plan_csv_lines
 REL = 1e-12
 
 # sha256 over the plan CSV lines of every plan of a corpus, in corpus order.
-# Recorded from the solver's northwest-corner start with Dantzig-then-Bland
-# pivots; a change to the start or the tree bookkeeping must return the very
-# same plans (continuous random costs make each optimum unique).
+# The first four were recorded from the solver's northwest-corner start with
+# Dantzig-then-Bland pivots, "fig1 ell=20 s0-15" (the most degenerate shape)
+# from its least-cost start with the same pivots.  A change to the start, the
+# pivot rule or the tree bookkeeping must return the very same plans
+# (continuous random costs make each optimum unique).
 PLAN_DIGESTS = {
     "criterion 4": "c921b2925bdc7105c70d37f813cfefae5a3c02f7a2853289530fd49b8c6b8541",
     "sec22 s0-9": "6576220ed5bda84284222351b1891830531685e2d401aa4d3db33b8b272292bd",
     "fig2 s0-9": "594118a46c32090fa61aa5e45c27086a4cf33b782048ca63d8d81a06285ba4ea",
     "fig1 ell=10 s0-9": "621b9f163107f076836863721256abc4c2b433af3f3be88e16e0db330d65401d",
+    "fig1 ell=20 s0-15": "4f07dbf05b50c2ec4344c9d4e0907a573f6779f7fa9b6361e8d676d2a27ac690",
 }
 
 
@@ -338,12 +341,16 @@ def _plans_digest(plans):
 
 def test_plan_digests(rigidity_corpus, sec22_runs, fig2_runs):
     fig1 = ExperimentSpec("fig1", out_dir="", ell=10).resolved()
+    fig1_20 = ExperimentSpec("fig1", out_dir="", ell=20).resolved()
     digests = {
         "criterion 4": _plans_digest(plan for _, plan in rigidity_corpus),
         "sec22 s0-9": _plans_digest(plan for _, plan, _ in sec22_runs),
         "fig2 s0-9": _plans_digest(plan for _, plan, _ in fig2_runs),
         "fig1 ell=10 s0-9": _plans_digest(
             solve(build_instance(fig1, seed)) for seed in range(10)
+        ),
+        "fig1 ell=20 s0-15": _plans_digest(
+            solve(build_instance(fig1_20, seed)) for seed in range(16)
         ),
     }
     changed = sorted(k for k in PLAN_DIGESTS if digests[k] != PLAN_DIGESTS[k])

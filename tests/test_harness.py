@@ -171,6 +171,24 @@ def test_experiment_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_run_seed_computes_stats_once(tmp_path, monkeypatch):
+    from otrigid import experiments, io
+
+    calls = []
+    real = io.find_crossings
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(io, "find_crossings", counted)
+    spec = ExperimentSpec(preset="fig1", out_dir="", ell=3).resolved()
+    record = experiments.run_seed(spec, 0, str(tmp_path))
+    assert len(calls) == 1
+    stats = json.loads((tmp_path / "seed0000_stats.json").read_text())
+    assert stats == record["stats"]
+
+
 def test_experiment_custom_requires_sizes(tmp_path):
     with pytest.raises(ValueError):
         run_experiment(ExperimentSpec(preset="custom", out_dir=str(tmp_path)))
@@ -257,6 +275,16 @@ def test_cli_exit_codes(tmp_path):
                                      "costs": [[1e308, 1e308], [-1e308, -1e308]]}))
     for cmd in ("genericity", "solve"):
         assert main([cmd, "--instance", str(huge_path)]) == 1
+
+
+def test_cli_perturb_at_cost_bound(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    out_path = tmp_path / "perturbed.json"
+    save_instance(Instance(CostMatrix(np.full((2, 2), 2.0**996))), inst_path)
+    assert main(["perturb", "--instance", str(inst_path), "--eta", "1e-9",
+                 "--seed", "0", "--out", str(out_path)]) == 0
+    costs = load_instance(out_path).costs.c
+    assert np.all(costs <= 2.0**996) and len(np.unique(costs)) == 4
 
 
 def test_cli_gen_deterministic(tmp_path):

@@ -204,6 +204,28 @@ def test_perturb_bound_and_determinism():
     assert np.all(delta < eta * inst.costs.max_abs)
 
 
+def test_perturb_adds_plain_jitter_where_it_fits():
+    inst = gen_random_costs(5, 8, 3)
+    eta = 1e-6
+    expected = inst.costs.c + np.random.default_rng(7).random((5, 8)) * (
+        eta * inst.costs.max_abs
+    )
+    assert perturb(inst, eta, 7).costs.c.tobytes() == expected.tobytes()
+
+
+def test_perturb_stays_within_cost_bound():
+    c = np.full((2, 2), MAX_ABS_COST)
+    c[1, 1] = -MAX_ABS_COST
+    inst = Instance(CostMatrix(c))
+    out1 = perturb(inst, 1e-9, 0)
+    out2 = perturb(inst, 1e-9, 0)
+    assert out1.costs.c.tobytes() == out2.costs.c.tobytes()
+    assert out1.costs.max_abs <= MAX_ABS_COST
+    delta = np.abs(out1.costs.c - c)
+    assert np.all(delta > 0.0) and np.all(delta < 1e-9 * MAX_ABS_COST)
+    assert genericity_check(out1).generic
+
+
 def test_perturb_restores_genericity_on_zeros():
     inst = Instance(CostMatrix(np.zeros((2, 2))))
     for seed in range(10):

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from otrigid import (
     uncross,
     verify_optimality,
 )
+from otrigid.solver import _least_cost_basis, _perturbed_marginals
 
 # hand-verified 2x3 fixture: unique optimum has scaled cost 2 (objective 1/3)
 C23 = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
@@ -136,6 +138,28 @@ def test_solve_hostile_costs(c):
         optimal = brute_force_solve(inst).optimal_plans
         assert plan.flows in {p.flows for p in optimal}
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "c",
+    [pytest.param(c, id=name) for name, c in _hostile_costs()]
+    + [pytest.param(gen_random_costs(m, n, 5).costs.c, id=f"random-{m}x{n}")
+       for m, n in ((1, 9), (9, 1), (12, 5), (97, 105))],
+)
+def test_perturbed_start_is_a_positive_spanning_tree(c):
+    # nondegenerate marginals: the matrix-minimum start alone must give m+n-1
+    # positive arcs meeting every marginal, i.e. a spanning tree
+    m, n = c.shape
+    _, supply, demand = _perturbed_marginals(m, n, math.lcm(m, n))
+    flows = _least_cost_basis(c, supply, demand)
+    assert len(flows) == m + n - 1
+    assert min(flows.values()) >= 1
+    rows, cols = [0] * m, [0] * n
+    for k, f in flows.items():
+        rows[k // n] += f
+        cols[k % n] += f
+    assert rows == supply and cols == demand
+    assert _is_forest(TransportPlan(m, n, 1, [divmod(k, n) + (1,) for k in flows]))
 
 
 def test_objective_zero_costs():
