@@ -80,9 +80,16 @@ def load_plan_csv(path, m=None, n=None, scale=None) -> TransportPlan:
     with open(path) as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            masses.append(
-                (int(row["i"]), int(row["j"]), Fraction(int(row["num"]), int(row["den"])))
-            )
+            try:
+                i, j = int(row["i"]), int(row["j"])
+                num, den = int(row["num"]), int(row["den"])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"plan CSV line {reader.line_num}: i, j, num, den must be integers"
+                ) from None
+            if not den:
+                raise ValueError(f"plan CSV line {reader.line_num}: den is 0")
+            masses.append((i, j, Fraction(num, den)))
     if not masses:
         raise ValueError("plan CSV has no support entries")
     if m is None:

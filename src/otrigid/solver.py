@@ -3,8 +3,10 @@
 Flows are integers at scale S (a multiple of lcm(m, n)); each source emits
 S/m units and each target absorbs S/n units.  The solver maintains a
 spanning-tree basis on the bipartite graph K_{m,n}, rooted at source 0 and
-kept as parent and children lists, so a pivot walks only its cycle and the
-subtree it re-hangs.
+kept as node-indexed lists: the tree arc from node x to parent[x] keeps its
+flow in pflow[x] and its position in the basis in pslot[x], beside the
+children lists.  A pivot walks only its cycle and the subtree it re-hangs,
+and touches no dict.
 
 It pivots on an exactly perturbed integer problem (see
 ``_perturbed_marginals``) whose every basis is nondegenerate: each pivot
@@ -14,7 +16,8 @@ basis is an optimal basis of the real problem, whose flows are read off the
 perturbed ones exactly.  This is the supply-perturbation form of a strongly
 feasible basis (Ahuja, Magnanti & Orlin 1993, section 11.6).
 
-It starts from a least-cost (matrix-minimum) basis.  Pricing keeps a
+It starts from a least-cost (matrix-minimum) basis, screening the cost
+order against live-row and live-column masks in numpy.  Pricing keeps a
 candidate list: a full numpy pricing of all m*n arcs keeps the most negative
 ones, each later pivot reprices only those and enters the most negative, and
 a new full pricing runs only when none is left below the entering cut.  The
@@ -43,6 +46,7 @@ _ENTER_TOL = 1e-11  # entering threshold relative to max|c|; filters potential
 # pricing of ~100, so a scan of the full list costs about one full pricing
 _ARCS_PER_CANDIDATE = 100
 _MIN_CANDIDATES = 64
+_START_BLOCK = 512  # arcs the start screens per numpy live-mask pass
 
 
 @dataclass(frozen=True)
@@ -133,29 +137,45 @@ def _perturbed_marginals(m, n, scale):
 def _least_cost_basis(c_np, supply, demand):
     """Initial spanning-tree basis: matrix-minimum allocation.
 
-    Arcs are visited in ascending cost (stable, so ties go in row-major
-    order) and each gets as much flow as its row and column still allow.
-    Every allocation exhausts a row or a column, so the positive arcs form a
-    forest whose components each balance supply and demand; on perturbed
-    marginals only the whole graph balances, so they are one spanning tree
-    of m+n-1 positive arcs.  Returns {arc index i*n+j: flow}.
+    Arcs are visited in ascending cost (ties in row-major order) and each
+    gets as much flow as its row and column still allow.  Every allocation
+    exhausts a row or a column, so the positive arcs form a forest whose
+    components each balance supply and demand; on perturbed marginals only
+    the whole graph balances, so they are one spanning tree of m+n-1
+    positive arcs.  Returns {arc index i*n+j: flow}.
+
+    The cost order is screened in blocks of ``_START_BLOCK`` arcs against
+    live-row and live-column masks, so the Python loop sees only arcs whose
+    row and column were both live when their block began.
     """
     m, n = c_np.shape
-    order = np.argsort(c_np, axis=None, kind="stable")
+    order = np.argsort(c_np, axis=None)
+    ranked = c_np.take(order)
+    if (ranked[1:] == ranked[:-1]).any():  # exact tie: keep row-major order
+        order = np.argsort(c_np, axis=None, kind="stable")
     rem_rows = list(supply)
     rem_cols = list(demand)
+    live_rows = np.ones(m, dtype=bool)
+    live_cols = np.ones(n, dtype=bool)
     flows = {}
     rows_left = m
-    for k, i, j in zip(order.tolist(), (order // n).tolist(), (order % n).tolist()):
-        if rem_rows[i] and rem_cols[j]:
-            q = min(rem_rows[i], rem_cols[j])
-            flows[k] = q
-            rem_rows[i] -= q
-            rem_cols[j] -= q
-            if not rem_rows[i]:
-                rows_left -= 1
-                if not rows_left:  # every row empty, hence every column too
-                    break
+    for lo in range(0, m * n, _START_BLOCK):
+        block = order[lo:lo + _START_BLOCK]
+        if lo:  # every row and column is live in the first block
+            block = block[live_rows[block // n] & live_cols[block % n]]
+        for k, i, j in zip(block.tolist(), (block // n).tolist(), (block % n).tolist()):
+            if rem_rows[i] and rem_cols[j]:
+                q = min(rem_rows[i], rem_cols[j])
+                flows[k] = q
+                rem_rows[i] -= q
+                rem_cols[j] -= q
+                if not rem_rows[i]:
+                    live_rows[i] = False
+                    rows_left -= 1
+                    if not rows_left:  # every row empty, hence every column
+                        return flows
+                if not rem_cols[j]:
+                    live_cols[j] = False
     return flows
 
 
@@ -163,24 +183,30 @@ def _rooted_tree(flows, m, n):
     """Root the spanning tree on arcs ``flows`` (by i*n+j) at source 0.
 
     Nodes are sources 0..m-1 and targets m..m+n-1.  Returns (parent,
-    children) as plain lists, with parent[0] = -1.
+    children, pflow, pslot) as plain lists, with parent[0] = -1: the tree
+    arc from x to parent[x] carries pflow[x] and sits at position pslot[x]
+    of the basis, which lists ``flows`` in insertion order.
     """
     adj = [[] for _ in range(m + n)]
-    for k in flows:
+    for t, (k, f) in enumerate(flows.items()):
         i, j = divmod(k, n)
-        adj[i].append(m + j)
-        adj[m + j].append(i)
+        adj[i].append((m + j, f, t))
+        adj[m + j].append((i, f, t))
     parent = [-1] * (m + n)
+    pflow = [0] * (m + n)
+    pslot = [-1] * (m + n)
     children = [[] for _ in range(m + n)]
     stack = [0]
     while stack:
         x = stack.pop()
-        for nb in adj[x]:
+        for nb, f, t in adj[x]:
             if nb != parent[x]:
                 parent[nb] = x
+                pflow[nb] = f
+                pslot[nb] = t
                 children[x].append(nb)
                 stack.append(nb)
-    return parent, children
+    return parent, children, pflow, pslot
 
 
 def _tree_potentials(children, c, m, n):
@@ -212,8 +238,8 @@ def _tree_potentials(children, c, m, n):
 def _price(c_np, w, basis, cut, size, red):
     """Full pricing: the ``size`` most negative arcs with reduced cost < cut.
 
-    Returns them as (i, j) pairs in arc-index order; ``red`` is an m x n
-    buffer.
+    Returns them as (c_ij, i, m+j) triples in arc-index order; ``red`` is an
+    m x n buffer.
     """
     m, n = red.shape
     wa = np.array(w)
@@ -224,30 +250,31 @@ def _price(c_np, w, basis, cut, size, red):
     arcs = (flat < cut).nonzero()[0]
     if arcs.size > size:
         arcs = np.sort(arcs[np.argpartition(flat[arcs], size - 1)[:size]])
-    return list(zip((arcs // n).tolist(), (arcs % n).tolist()))
+    return list(zip(c_np.take(arcs).tolist(), (arcs // n).tolist(),
+                    (arcs % n + m).tolist()))
 
 
-def _pick(cand, c, w, m, cut):
+def _pick(cand, w, cut):
     """Reprice the candidates and enter the most negative one.
 
     Keeps in ``cand`` only the others still below ``cut`` and returns the
-    entering (i, j, reduced cost), or None when no candidate is below it.
-    Ties go to the earliest candidate, so after a full pricing this is
-    Dantzig's rule with the lowest arc index.
+    entering (c_ij, i, m+j) and its reduced cost, or None when no candidate
+    is below it.  Ties go to the earliest candidate, so after a full pricing
+    this is Dantzig's rule with the lowest arc index.
     """
     best = cut
     keep = []
-    for i, j in cand:
-        r = c[i][j] - w[i] + w[m + j]
+    for e in cand:
+        r = e[0] - w[e[1]] + w[e[2]]
         if r < cut:
             if r < best:
                 best, at = r, len(keep)
-            keep.append((i, j))
+            keep.append(e)
     if not keep:
         return None
-    i, j = keep.pop(at)
+    e = keep.pop(at)
     cand[:] = keep
-    return i, j, best
+    return e, best
 
 
 def solve(inst: Instance) -> TransportPlan:
@@ -260,21 +287,20 @@ def solve(inst: Instance) -> TransportPlan:
     K, supply, demand = _perturbed_marginals(m, n, S)
     flows = _least_cost_basis(c_np, supply, demand)  # tree arcs, by i*n+j
     basis = np.fromiter(flows, dtype=np.intp, count=len(flows))
-    slot = {k: t for t, k in enumerate(flows)}  # arc -> position in basis
-    parent, children = _rooted_tree(flows, m, n)
+    parent, children, pflow, pslot = _rooted_tree(flows, m, n)
     w = _tree_potentials(children, c, m, n)
 
     mark = [0] * (m + n)  # apex search: last pivot tag that climbed a node
     enter_cut = -_ENTER_TOL * inst.costs.max_abs
     list_size = max(_MIN_CANDIDATES, m * n // _ARCS_PER_CANDIDATE)
     red = np.empty((m, n))  # full-pricing buffer
-    cand = []  # candidate list: arcs (i, j) last priced below enter_cut
+    cand = []  # candidate list: arcs (c_ij, i, m+j) last priced below enter_cut
     refreshed = True  # potentials are exact tree propagations, not shifted
     for pivot in range(_MAX_PIVOTS):
         if pivot % _REFRESH_EVERY == _REFRESH_EVERY - 1 and not refreshed:
             w = _tree_potentials(children, c, m, n)
             refreshed = True
-        entering = _pick(cand, c, w, m, enter_cut)
+        entering = _pick(cand, w, enter_cut)
         if entering is None:
             cand = _price(c_np, w, basis, enter_cut, list_size, red)
             if not cand and not refreshed:
@@ -283,17 +309,16 @@ def solve(inst: Instance) -> TransportPlan:
                 w = _tree_potentials(children, c, m, n)
                 refreshed = True
                 cand = _price(c_np, w, basis, enter_cut, list_size, red)
-            entering = _pick(cand, c, w, m, enter_cut)
+            entering = _pick(cand, w, enter_cut)
             if entering is None:
                 break
-        ei, ej, best = entering
-        enter = ei * n + ej
+        (_, ei, et), best = entering
 
         # the apex of the cycle is the first node one endpoint reaches that
         # the other has already climbed through; climbing both in turn stops
         # within twice the longer side, so no depth array is kept
         tag_a, tag_b = 2 * pivot + 1, 2 * pivot + 2
-        a, b = ei, m + ej
+        a, b = ei, et
         mark[a] = tag_a
         mark[b] = tag_b
         while True:
@@ -310,44 +335,50 @@ def solve(inst: Instance) -> TransportPlan:
                     break
                 mark[b] = tag_b
 
-        # flow rises on the entering arc, so on the tree path from ei to ej
-        # it falls on every arc walked source -> target: climbing from ei,
-        # an arc whose child is a source; climbing from ej, one whose child
-        # is a target.  Every basis is nondegenerate, so the falling arc of
-        # least flow is unique and theta >= 1
-        cycle = []  # (arc index, falls)
+        # flow rises on the entering arc, so on the tree path from ei to et
+        # it falls on every arc walked source -> target: climbing from
+        # either endpoint, the first arc falls and the arcs alternate.  Every
+        # basis is nondegenerate, so the falling arc of least flow is unique
+        # and theta >= 1; it is the arc from ``out`` to its parent
         theta = 0
-        for x, on_a in ((ei, True), (m + ej, False)):
+        for x, on_a in ((ei, True), (et, False)):
             while x != apex:
-                p = parent[x]
-                arc = x * n + p - m if x < m else p * n + x - m
-                falls = (x < m) == on_a
-                cycle.append((arc, falls))
-                if falls and (not theta or flows[arc] < theta):
-                    theta, leaving, out, out_on_a = flows[arc], arc, x, on_a
-                x = p
-        for k, falls in cycle:
-            flows[k] += -theta if falls else theta
-        flows[enter] = theta
-        del flows[leaving]
-        t = slot.pop(leaving)
-        basis[t] = enter
-        slot[enter] = t
+                if not theta or pflow[x] < theta:
+                    theta, out, out_on_a = pflow[x], x, on_a
+                x = parent[x]
+                if x == apex:
+                    break
+                x = parent[x]
+        for x in (ei, et):
+            while x != apex:
+                pflow[x] -= theta
+                x = parent[x]
+                if x == apex:
+                    break
+                pflow[x] += theta
+                x = parent[x]
 
         # dropping the leaving arc detaches the subtree under ``out``; it
         # holds the entering endpoint q on out's side of the cycle.  Re-hang
         # it from the other endpoint r by reversing the parent pointers on
-        # the path q .. out, then shift the subtree's potentials so that the
-        # entering arc becomes tight (the root side keeps u_0 = 0)
-        q, r = (ei, m + ej) if out_on_a else (m + ej, ei)
+        # the path q .. out, each node taking over the flow and basis slot of
+        # the arc to its old child on the path; q takes the entering arc,
+        # with theta and the slot the leaving arc frees.  Then shift the
+        # subtree's potentials so that the entering arc becomes tight (the
+        # root side keeps u_0 = 0)
+        q, r = (ei, et) if out_on_a else (et, ei)
         # w -= delta on the subtree changes the entering reduced cost
-        # c - w_ei + w_{m+ej} by -delta when q = m+ej and by +delta when q = ei
+        # c - w_ei + w_et by -delta when q = et and by +delta when q = ei
         delta = -best if q < m else best
+        f, t = theta, pslot[out]
+        basis[t] = ei * n + et - m
         children[parent[out]].remove(out)
         prev, x = r, q
         while True:
             up = parent[x]
             parent[x] = prev
+            f, pflow[x] = pflow[x], f
+            t, pslot[x] = pslot[x], t
             children[prev].append(x)
             if x == out:
                 break
@@ -362,11 +393,13 @@ def solve(inst: Instance) -> TransportPlan:
         raise RuntimeError("network simplex exceeded the pivot safety limit")
 
     # a tree arc carries K*f + g with |g| <= m, so (f' + m) // K is f
-    support = tuple(
-        (k // n, k % n, g) for k, f in sorted(flows.items()) if (g := (f + m) // K)
-    )
-    plan = TransportPlan(m, n, S, support)
-    return plan
+    support = []
+    for x in range(1, m + n):
+        g = (pflow[x] + m) // K
+        if g:
+            p = parent[x]
+            support.append((x, p - m, g) if x < m else (p, x - m, g))
+    return TransportPlan(m, n, S, support)
 
 
 def objective(inst: Instance, plan: TransportPlan) -> float:
@@ -484,33 +517,33 @@ def _solve_difference_constraints(w, abs_tol):
 def find_crossings(plan: TransportPlan, inst: Optional[Instance] = None):
     """All (i<i2, j<j2) quadruples where all four flows are positive.
 
-    Enumerated by intersecting per-source sorted target lists, so the cost is
-    proportional to the overlap rather than m^2 n^2.  Costs are attached when
-    an instance is supplied.
+    Enumerated from the targets' side: each target records the source pairs
+    it serves, and only pairs sharing two or more targets yield crossings,
+    so the cost is the sum over targets of C(sources served, 2) rather than
+    m^2 set intersections.  Costs are attached when an instance is supplied.
     """
-    by_source = [[] for _ in range(plan.m)]
-    for i, j, _ in plan.flows:
-        by_source[i].append(j)
+    by_target = [[] for _ in range(plan.n)]
+    for i, j, _ in plan.flows:  # (i, j) order: each list is ascending
+        by_target[j].append(i)
+    shared = {}  # (i, i2) -> ascending targets both serve
+    for j, sources in enumerate(by_target):
+        for a, i in enumerate(sources):
+            for i2 in sources[a + 1:]:
+                shared.setdefault((i, i2), []).append(j)
     out = []
     c = inst.costs.c if inst is not None else None
-    for i in range(plan.m):
-        ti = set(by_source[i])
-        if not ti:
-            continue
-        for i2 in range(i + 1, plan.m):
-            common = sorted(ti.intersection(by_source[i2]))
-            for a in range(len(common)):
-                for b in range(a + 1, len(common)):
-                    j, j2 = common[a], common[b]
-                    costs = None
-                    if c is not None:
-                        costs = (
-                            float(c[i, j]),
-                            float(c[i, j2]),
-                            float(c[i2, j]),
-                            float(c[i2, j2]),
-                        )
-                    out.append(Crossing(i, i2, j, j2, costs))
+    for (i, i2), common in sorted(shared.items()):
+        for a, j in enumerate(common):
+            for j2 in common[a + 1:]:
+                costs = None
+                if c is not None:
+                    costs = (
+                        float(c[i, j]),
+                        float(c[i, j2]),
+                        float(c[i2, j]),
+                        float(c[i2, j2]),
+                    )
+                out.append(Crossing(i, i2, j, j2, costs))
     return out
 
 

@@ -33,14 +33,10 @@ def svg_document(inst: Instance, plan: TransportPlan) -> str:
     span = np.where(hi > lo, hi - lo, 1.0)
     inner = VIEWPORT * (1.0 - 2.0 * MARGIN)
 
-    def map_pt(p):
-        frac = (p - lo) / span
-        x = VIEWPORT * MARGIN + frac[0] * inner
-        y = VIEWPORT * MARGIN + (1.0 - frac[1]) * inner  # y up in data coords
-        return x, y
-
-    src_xy = [map_pt(p) for p in src]
-    tgt_xy = [map_pt(p) for p in tgt]
+    frac = (pts - lo) / span
+    frac[:, 1] = 1.0 - frac[:, 1]  # y up in data coords
+    xy = (VIEWPORT * MARGIN + frac * inner).tolist()
+    src_xy, tgt_xy = xy[: len(src)], xy[len(src):]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEWPORT:.0f}" '

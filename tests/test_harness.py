@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ from otrigid import (
     solve,
 )
 from otrigid.cli import main
+from otrigid.experiments import build_instance
 from otrigid.io import (
     decomposition_from_dict,
     decomposition_to_dict,
@@ -132,6 +134,20 @@ def test_svg_deterministic(tmp_path):
     emit_svg(inst, plan, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert svg_document(inst, plan).count("<line") == plan.support_size
+
+
+# sha256 over svg_document of the fig1 ell=10 s0-9 plans, in seed order,
+# recorded from the per-point mapping; the SVG bytes must not change
+SVG_DIGEST = "ffdca4d0d1ac8493b901b8427dea4e1cf136e120d4df7192850d14d33f26afb9"
+
+
+def test_svg_digest():
+    spec = ExperimentSpec("fig1", out_dir="", ell=10).resolved()
+    h = hashlib.sha256()
+    for seed in range(10):
+        inst = build_instance(spec, seed)
+        h.update(svg_document(inst, solve(inst)).encode())
+    assert h.hexdigest() == SVG_DIGEST
 
 
 def test_svg_requires_2d_geometry():
@@ -275,6 +291,21 @@ def test_cli_exit_codes(tmp_path):
                                      "costs": [[1e308, 1e308], [-1e308, -1e308]]}))
     for cmd in ("genericity", "solve"):
         assert main([cmd, "--instance", str(huge_path)]) == 1
+    # malformed plan CSV rows: validation error, not a traceback
+    inst_path = tmp_path / "one.json"
+    save_instance(Instance(CostMatrix(np.zeros((1, 1)))), inst_path)
+    for name, body in (("zero_den", "i,j,num,den\n0,0,1,0\n"),
+                       ("short_row", "i,j,num,den\n0,0,1\n"),
+                       ("not_int", "i,j,num,den\n0,0,x,1\n")):
+        plan_path = tmp_path / f"{name}.csv"
+        plan_path.write_text(body)
+        out = str(tmp_path / f"{name}.out")
+        assert main(["birkhoff", "--plan", str(plan_path), "--out", out]) == 1
+        assert main(["analyze", "--instance", str(inst_path),
+                     "--plan", str(plan_path)]) == 1
+        assert main(["uncross", "--instance", str(inst_path),
+                     "--plan", str(plan_path), "--out", out]) == 1
+        assert not os.path.exists(out)
 
 
 def test_cli_perturb_at_cost_bound(tmp_path):

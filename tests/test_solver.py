@@ -162,6 +162,48 @@ def test_perturbed_start_is_a_positive_spanning_tree(c):
     assert _is_forest(TransportPlan(m, n, 1, [divmod(k, n) + (1,) for k in flows]))
 
 
+def _full_order_start(c, supply, demand):
+    # reference matrix-minimum start: every arc in stable cost order
+    m, n = c.shape
+    rows, cols = list(supply), list(demand)
+    flows = {}
+    for k in np.argsort(c, axis=None, kind="stable").tolist():
+        i, j = divmod(k, n)
+        if rows[i] and cols[j]:
+            q = min(rows[i], cols[j])
+            flows[k] = q
+            rows[i] -= q
+            cols[j] -= q
+    return flows
+
+
+@pytest.mark.parametrize(
+    "c",
+    [pytest.param(c, id=name) for name, c in _hostile_costs()]
+    + [pytest.param(gen_random_costs(m, n, 5).costs.c, id=f"random-{m}x{n}")
+       for m, n in ((12, 5), (40, 60), (97, 105))],
+)
+def test_least_cost_basis_matches_full_order_walk(c, monkeypatch):
+    # the screened start must allocate exactly as a walk over the whole
+    # stable cost order, in the same order; exact ties take the stable sort
+    kinds = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    m, n = c.shape
+    _, supply, demand = _perturbed_marginals(m, n, math.lcm(m, n))
+    monkeypatch.setattr(np, "argsort", spy)
+    flows = _least_cost_basis(c, supply, demand)
+    monkeypatch.undo()
+    ref = _full_order_start(c, supply, demand)
+    assert list(flows.items()) == list(ref.items())
+    tied = np.unique(c).size < c.size
+    assert ("stable" in kinds) == tied
+
+
 def test_objective_zero_costs():
     inst = Instance(CostMatrix(np.zeros((3, 5))))
     assert objective(inst, solve(inst)) == 0.0
@@ -223,6 +265,33 @@ def test_find_crossings_attaches_costs():
     plan = TransportPlan(2, 2, 4, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
     (x,) = find_crossings(plan, inst)
     assert x.costs == (0.0, 1.0, 2.0, 3.0)
+
+
+def _brute_force_crossings(plan, inst):
+    pos = plan.flow_dict()
+    c = inst.costs.c
+    return [
+        (i, i2, j, j2, (c[i, j], c[i, j2], c[i2, j], c[i2, j2]))
+        for i in range(plan.m) for i2 in range(i + 1, plan.m)
+        for j in range(plan.n) for j2 in range(j + 1, plan.n)
+        if {(i, j), (i, j2), (i2, j), (i2, j2)} <= pos.keys()
+    ]
+
+
+@pytest.mark.parametrize("density", [0.1, 0.3, 0.6, 1.0])
+@pytest.mark.parametrize("m,n,seed", [(1, 6, 0), (6, 1, 1), (2, 2, 2), (5, 9, 3),
+                                      (9, 5, 4), (12, 12, 5)])
+def test_find_crossings_matches_brute_force(m, n, seed, density):
+    # supports need not be feasible plans: density 1.0 is the full product
+    rng = np.random.default_rng(seed)
+    mask = rng.random((m, n)) < density
+    flows = tuple((i, j, 1) for i, j in np.argwhere(mask).tolist())
+    plan = TransportPlan(m, n, m * n, flows)
+    inst = gen_random_costs(m, n, seed)
+    got = [(x.i, x.i2, x.j, x.j2, x.costs) for x in find_crossings(plan, inst)]
+    assert got == _brute_force_crossings(plan, inst)
+    if density == 1.0:
+        assert len(got) == math.comb(m, 2) * math.comb(n, 2)
 
 
 def test_find_crossings_single_row_or_col():
