@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .solver import TransportPlan
-
-BOUND_REL_SLACK = 1e-12  # absorbs sqrt(n) rounding in bounds (2) and (3)
+from .solver import TransportPlan, shared_targets
 
 
 @dataclass(frozen=True)
@@ -68,18 +65,16 @@ def rigidity_report(plan: TransportPlan) -> RigidityReport:
     upper2 = n / m + math.sqrt(n)
     upper3 = 1.0 + m / math.sqrt(n)
     bound1_ok = all(lower <= ti <= upper1 for ti in t)
-    # means are exact rationals; bounds are irrational, compared with slack
-    mean_t = Fraction(support, m)
-    mean_ell = Fraction(support, n)
-    bound2_ok = float(mean_t) <= upper2 * (1.0 + BOUND_REL_SLACK)
-    bound3_ok = float(mean_ell) <= upper3 * (1.0 + BOUND_REL_SLACK)
+    # (2) s/m <= n/m + sqrt(n) and (3) s/n <= 1 + m/sqrt(n) both say
+    # s <= n + m*sqrt(n), which integers decide exactly
+    bound23_ok = support <= n or (support - n) ** 2 <= m * m * n
     return RigidityReport(
         t=tuple(t),
         ell=tuple(ell),
         support_size=support,
         bound1_ok=bound1_ok,
-        bound2_ok=bound2_ok,
-        bound3_ok=bound3_ok,
+        bound2_ok=bound23_ok,
+        bound3_ok=bound23_ok,
         lower=lower,
         upper1=upper1,
         upper2=upper2,
@@ -108,18 +103,10 @@ def fanout_split(plan: TransportPlan, i: int):
 
 def pair_counts(plan: TransportPlan) -> PairCountReport:
     """Common-target counts per source pair; total cross-checked as sum C(l_j, 2)."""
-    by_target = [[] for _ in range(plan.n)]
+    counts = {pair: len(common) for pair, common in shared_targets(plan).items()}
     ell = [0] * plan.n
-    for i, j, _ in plan.flows:
-        by_target[j].append(i)
+    for _, j, _ in plan.flows:
         ell[j] += 1
-    counts = {}
-    for sources in by_target:
-        sources.sort()
-        for a in range(len(sources)):
-            for b in range(a + 1, len(sources)):
-                key = (sources[a], sources[b])
-                counts[key] = counts.get(key, 0) + 1
     total = sum(lj * (lj - 1) // 2 for lj in ell)
     if total != sum(counts.values()):
         raise AssertionError("pair-count double-counting identity violated")

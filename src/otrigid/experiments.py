@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import instance as inst_mod
@@ -17,9 +17,6 @@ from .instance import Instance, genericity_check, perturb
 from .io import save_plan_csv, stats_dict, write_stats_json
 from .solver import solve
 from .svg import emit_svg
-
-PRESETS = ("fig1", "fig2", "sec22", "custom")
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -36,23 +33,17 @@ class ExperimentSpec:
     def resolved(self) -> "ExperimentSpec":
         """Apply the preset's forced parameters."""
         if self.preset == "fig1":
-            return _replace(self, m=2 * self.ell, n=3 * self.ell, p=1.0,
-                            dist="uniform-square", random_costs=False)
+            return replace(self, m=2 * self.ell, n=3 * self.ell, p=1.0,
+                           dist="uniform-square", random_costs=False)
         if self.preset == "fig2":
-            return _replace(self, m=50, n=2222, p=2.0, random_costs=False)
+            return replace(self, m=50, n=2222, p=2.0, random_costs=False)
         if self.preset == "sec22":
-            return _replace(self, m=7, n=2000, random_costs=True)
+            return replace(self, m=7, n=2000, random_costs=True)
         if self.preset == "custom":
             if self.m < 1 or self.n < 1:
                 raise ValueError("custom preset requires explicit m and n")
             return self
         raise ValueError(f"unknown preset {self.preset!r}")
-
-
-def _replace(spec, **kw):
-    from dataclasses import replace
-
-    return replace(spec, **kw)
 
 
 def build_instance(spec: ExperimentSpec, seed: int) -> Instance:

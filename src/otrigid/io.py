@@ -107,11 +107,9 @@ def load_plan_csv(path, m=None, n=None, scale=None) -> TransportPlan:
     return TransportPlan(m, n, scale, tuple(flows))
 
 
-def stats_dict(plan: TransportPlan, crossings: int | None = None) -> dict:
+def stats_dict(plan: TransportPlan) -> dict:
     """The stats JSON payload for a plan."""
     rep = rigidity_report(plan)
-    if crossings is None:
-        crossings = len(find_crossings(plan))
     return {
         "m": plan.m,
         "n": plan.n,
@@ -123,12 +121,12 @@ def stats_dict(plan: TransportPlan, crossings: int | None = None) -> dict:
         "t_mean": rep.support_size / plan.m,
         "ell_mean": rep.support_size / plan.n,
         "bounds": {"b1": rep.bound1_ok, "b2": rep.bound2_ok, "b3": rep.bound3_ok},
-        "crossings": crossings,
+        "crossings": len(find_crossings(plan)),
     }
 
 
-def save_stats_json(plan: TransportPlan, path, crossings=None):
-    write_stats_json(stats_dict(plan, crossings), path)
+def save_stats_json(plan: TransportPlan, path):
+    write_stats_json(stats_dict(plan), path)
 
 
 def write_stats_json(stats: dict, path):

@@ -414,11 +414,7 @@ def solve(inst: Instance) -> TransportPlan:
 
 def objective(inst: Instance, plan: TransportPlan) -> float:
     """Total transport cost sum c_ij * f_ij / S."""
-    if plan.m != inst.m or plan.n != inst.n:
-        raise ValueError("plan dimensions do not match instance")
-    c = inst.costs.c
-    total = sum(c[i, j] * f for i, j, f in plan.flows)
-    return total / plan.scale
+    return scaled_objective(inst, plan) / plan.scale
 
 
 def scaled_objective(inst: Instance, plan: TransportPlan) -> float:
@@ -524,25 +520,34 @@ def _solve_difference_constraints(w, abs_tol):
     return delta
 
 
-def find_crossings(plan: TransportPlan, inst: Optional[Instance] = None):
-    """All (i<i2, j<j2) quadruples where all four flows are positive.
+def shared_targets(plan: TransportPlan) -> dict:
+    """{(i, i2): ascending targets both serve} for every source pair i < i2
+    sharing at least one target.
 
-    Enumerated from the targets' side: each target records the source pairs
-    it serves, and only pairs sharing two or more targets yield crossings,
+    Built from the targets' side: each target lists the sources it serves,
     so the cost is the sum over targets of C(sources served, 2) rather than
-    m^2 set intersections.  Costs are attached when an instance is supplied.
+    m^2 set intersections.
     """
     by_target = [[] for _ in range(plan.n)]
     for i, j, _ in plan.flows:  # (i, j) order: each list is ascending
         by_target[j].append(i)
-    shared = {}  # (i, i2) -> ascending targets both serve
+    shared = {}
     for j, sources in enumerate(by_target):
         for a, i in enumerate(sources):
             for i2 in sources[a + 1:]:
                 shared.setdefault((i, i2), []).append(j)
+    return shared
+
+
+def find_crossings(plan: TransportPlan, inst: Optional[Instance] = None):
+    """All (i<i2, j<j2) quadruples where all four flows are positive.
+
+    Only source pairs sharing two or more targets (``shared_targets``) yield
+    crossings.  Costs are attached when an instance is supplied.
+    """
     out = []
     c = inst.costs.c if inst is not None else None
-    for (i, i2), common in sorted(shared.items()):
+    for (i, i2), common in sorted(shared_targets(plan).items()):
         for a, j in enumerate(common):
             for j2 in common[a + 1:]:
                 costs = None
@@ -565,33 +570,50 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     the support shrinks every step and the loop terminates.  Ties within
     1e-12*max|c| push in the direction that zeroes the lexicographically
     smallest entry.
+
+    A push raises two arcs that are already positive and lowers two others,
+    so supports only shrink and no source pair ever gains a common target.
+    The first crossing pair therefore never moves back in (i, i2) order, and
+    one ordered pass over the pairs, pushing on each until it shares fewer
+    than two targets, makes exactly the pushes of a rescan after every push.
     """
     plan.validate()
     c = inst.costs.c
     tie_tol = UNCROSS_TIE_TOL * max(inst.costs.max_abs, 0.0)
     flows = plan.flow_dict()
+    targets = [set() for _ in range(plan.m)]
+    for i, j, _ in plan.flows:
+        targets[i].add(j)
 
-    while True:
-        crossing = _first_crossing(flows, plan.m)
-        if crossing is None:
-            break
-        i, i2, j, j2 = crossing
-        # pushing eps onto the (i,j),(i2,j2) diagonal changes cost by eps*gain
-        gain = (c[i, j] + c[i2, j2]) - (c[i, j2] + c[i2, j])
-        if abs(gain) <= tie_tol:
-            # tie: zero the lexicographically smallest entry among the two
-            # candidates (the min-flow decreased arc of each direction)
-            down_a = _zeroed_arc(flows, (i, j2), (i2, j))  # +diagonal push
-            down_b = _zeroed_arc(flows, (i, j), (i2, j2))  # -diagonal push
-            push_diag = down_a < down_b
-        else:
-            push_diag = gain < 0
-        if push_diag:
-            eps = min(flows[(i, j2)], flows[(i2, j)])
-            _push(flows, (i, j), (i2, j2), (i, j2), (i2, j), eps)
-        else:
-            eps = min(flows[(i, j)], flows[(i2, j2)])
-            _push(flows, (i, j2), (i2, j), (i, j), (i2, j2), eps)
+    for i in range(plan.m):
+        for i2 in range(i + 1, plan.m):
+            while len(targets[i]) >= 2:
+                common = sorted(targets[i] & targets[i2])
+                if len(common) < 2:
+                    break
+                j, j2 = common[0], common[1]
+                # pushing eps onto the (i,j),(i2,j2) diagonal changes cost by eps*gain
+                gain = (c[i, j] + c[i2, j2]) - (c[i, j2] + c[i2, j])
+                if abs(gain) <= tie_tol:
+                    # tie: zero the lexicographically smallest entry among the
+                    # two candidates (the min-flow decreased arc of each direction)
+                    down_a = _zeroed_arc(flows, (i, j2), (i2, j))  # +diagonal push
+                    down_b = _zeroed_arc(flows, (i, j), (i2, j2))  # -diagonal push
+                    push_diag = down_a < down_b
+                else:
+                    push_diag = gain < 0
+                if push_diag:
+                    up, down = ((i, j), (i2, j2)), ((i, j2), (i2, j))
+                else:
+                    up, down = ((i, j2), (i2, j)), ((i, j), (i2, j2))
+                eps = min(flows[down[0]], flows[down[1]])
+                for arc in up:
+                    flows[arc] += eps
+                for arc in down:
+                    flows[arc] -= eps
+                    if flows[arc] == 0:
+                        del flows[arc]
+                        targets[arc[0]].discard(arc[1])
 
     support = tuple((i, j, f) for (i, j), f in sorted(flows.items()))
     return TransportPlan(plan.m, plan.n, plan.scale, support)
@@ -603,29 +625,3 @@ def _zeroed_arc(flows, a1, a2):
     if f1 != f2:
         return a1 if f1 < f2 else a2
     return min(a1, a2)
-
-
-def _push(flows, up1, up2, down1, down2, eps):
-    flows[up1] = flows.get(up1, 0) + eps
-    flows[up2] = flows.get(up2, 0) + eps
-    for arc in (down1, down2):
-        flows[arc] -= eps
-        if flows[arc] == 0:
-            del flows[arc]
-
-
-def _first_crossing(flows, m):
-    by_source = [[] for _ in range(m)]
-    for (i, j) in flows:
-        by_source[i].append(j)
-    for lst in by_source:
-        lst.sort()
-    for i in range(m):
-        ti = set(by_source[i])
-        if len(ti) < 2:
-            continue
-        for i2 in range(i + 1, m):
-            common = sorted(ti.intersection(by_source[i2]))
-            if len(common) >= 2:
-                return i, i2, common[0], common[1]
-    return None

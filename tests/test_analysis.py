@@ -112,6 +112,29 @@ def test_cauchy_schwarz_chain(m, n, seed):
     assert lhs <= n + math.sqrt(n) * math.sqrt(2 * pc.total) + 1e-9
 
 
+def _two_source_plan(n, shared):
+    # 2 x n plan at scale 4n: the first `shared` targets are split between the
+    # two sources, the rest go whole to one of them, so the support is n + shared
+    sole = n - shared
+    x0 = [3 if j < 2 * (sole % 2) else 2 for j in range(shared)]
+    flows = [(0, j, f) for j, f in enumerate(x0)] + [(1, j, 4 - f) for j, f in enumerate(x0)]
+    flows += [(0, j, 4) for j in range(shared, shared + sole // 2)]
+    flows += [(1, j, 4) for j in range(shared + sole // 2, n)]
+    plan = TransportPlan(2, n, 4 * n, tuple(flows))
+    plan.validate()
+    assert plan.support_size == n + shared
+    return plan
+
+
+@pytest.mark.parametrize("n,shared,ok", [(4, 4, True), (9, 5, True), (9, 6, True),
+                                         (9, 7, False), (16, 8, True), (16, 9, False)])
+def test_bounds_2_3_exact_at_boundary(n, shared, ok):
+    # m = 2 and n a perfect square: support n + 2*sqrt(n) meets (2) and (3)
+    # with equality, and one more arc breaks both
+    rep = rigidity_report(_two_source_plan(n, shared))
+    assert rep.bound2_ok is ok and rep.bound3_ok is ok
+
+
 def test_bound_values():
     plan = solve(gen_random_costs(4, 10, 0))
     rep = rigidity_report(plan)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -18,10 +19,12 @@ from otrigid import (
     gen_random_costs,
     genericity_check,
     objective,
+    pair_counts,
     solve,
     uncross,
     verify_optimality,
 )
+from otrigid.io import plan_csv_lines
 from otrigid.solver import _least_cost_basis, _perturbed_marginals
 
 # hand-verified 2x3 fixture: unique optimum has scaled cost 2 (objective 1/3)
@@ -278,6 +281,11 @@ def test_find_crossings_matches_brute_force(m, n, seed, density):
     inst = gen_random_costs(m, n, seed)
     got = [(x.i, x.i2, x.j, x.j2, x.costs) for x in find_crossings(plan, inst)]
     assert got == _brute_force_crossings(plan, inst)
+    # pair_counts reads the same source-pair index
+    pos = plan.flow_dict()
+    common = {(i, i2): sum((i, j) in pos and (i2, j) in pos for j in range(n))
+              for i in range(m) for i2 in range(i + 1, m)}
+    assert pair_counts(plan).pair_counts == {k: v for k, v in common.items() if v}
     if density == 1.0:
         assert len(got) == math.comb(m, 2) * math.comb(n, 2)
 
@@ -339,6 +347,63 @@ def test_uncross_properties_on_mixed_permutations(seed, n):
     assert find_crossings(out) == []
     assert objective(inst, out) <= objective(inst, plan) + 1e-15
     assert out.support_size <= plan.support_size
+
+
+# sha256 over the plan CSV lines of every uncross output of _uncross_corpus,
+# in corpus order, recorded from the uncross that re-scanned all source pairs
+# after every push.  A change to how uncross finds its next crossing must
+# return the very same plans.
+UNCROSS_DIGEST = "d59945823f87b3aa1ce6e5fd9fd1a50a933edb63e548522b202ea12d5a100065"
+
+
+def _random_sparse_plan(rng, m, n, layers):
+    """Sum of `layers` northwest-corner plans over random row/column orders."""
+    base = math.lcm(m, n)
+    flows = {}
+    for _ in range(layers):
+        rows, cols = rng.permutation(m).tolist(), rng.permutation(n).tolist()
+        supply, demand = [base // m] * m, [base // n] * n
+        a = b = 0
+        while a < m and b < n:
+            i, j = rows[a], cols[b]
+            f = min(supply[i], demand[j])
+            flows[(i, j)] = flows.get((i, j), 0) + f
+            supply[i] -= f
+            demand[j] -= f
+            a += supply[i] == 0
+            b += demand[j] == 0
+    return TransportPlan(m, n, layers * base, tuple((i, j, f) for (i, j), f in flows.items()))
+
+
+def _uncross_corpus():
+    """(inst, plan) pairs: product couplings and sparse plans on tied costs."""
+    for seed in (0, 1):
+        for n in range(2, 30):
+            inst = gen_random_costs(n, n + 1, seed)
+            unit = inst.scale // (n * (n + 1))
+            yield inst, TransportPlan(n, n + 1, inst.scale, tuple(
+                (i, j, unit) for i in range(n) for j in range(n + 1)))
+    rng = np.random.default_rng(20261018)
+    for k in range(160):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 11))
+        kind = k % 4
+        if kind == 0:
+            c = rng.random((m, n))
+        elif kind == 1:
+            c = rng.integers(0, 3, (m, n)).astype(float)  # many exact ties
+        elif kind == 2:
+            c = np.ones((m, n))
+        else:  # a_i + b_j: every push is an exact tie
+            c = (rng.integers(0, 5, m)[:, None] + rng.integers(0, 5, n)[None, :]).astype(float)
+        yield Instance(CostMatrix(c)), _random_sparse_plan(rng, m, n, int(rng.integers(2, 5)))
+
+
+def test_uncross_output_digest():
+    h = hashlib.sha256()
+    for inst, plan in _uncross_corpus():
+        out = uncross(inst, plan)
+        h.update(("\n".join(plan_csv_lines(out)) + "\n").encode())
+    assert h.hexdigest() == UNCROSS_DIGEST
 
 
 def test_plan_validate_rejects_bad_marginals():
