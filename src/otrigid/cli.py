@@ -47,7 +47,7 @@ def _build_parser():
 
     p = sub.add_parser("genericity", help="scan for cost quadruple near-ties")
     p.add_argument("--instance", required=True)
-    p.add_argument("--tol", type=float, default=inst_mod.DEFAULT_GENERICITY_TOL)
+    p.add_argument("--tol", type=float, default=inst_mod.TIE_TOL)
 
     p = sub.add_parser("perturb", help="jitter the costs to restore genericity")
     p.add_argument("--instance", required=True)
@@ -171,6 +171,7 @@ def _run(args) -> int:
     if cmd == "plot":
         inst = load_instance(args.instance)
         plan = load_plan_csv(args.plan, m=inst.m, n=inst.n)
+        plan.validate()
         emit_svg(inst, plan, args.out)
         return 0
     raise AssertionError(f"unhandled command {cmd}")

@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .analysis import rigidity_report
 from .instance import Instance
 from .solver import TransportPlan, solve
 
@@ -101,10 +101,9 @@ def gcd_construct(inst: Instance) -> TransportPlan:
     are checked here, not constructed.
     """
     plan = solve(inst)
-    plan.validate()
+    rep = rigidity_report(plan)
     g = math.gcd(inst.m, inst.n)
-    fanout = max(Counter(i for i, _, _ in plan.flows).values())
-    fanin = max(Counter(j for _, j, _ in plan.flows).values())
+    fanout, fanin = rep.t_max, max(rep.ell)
     if fanout > inst.n // g or fanin > inst.m // g:
         raise AssertionError(
             f"integral plan breaks the gcd bounds: fanout {fanout} > {inst.n // g} "

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance
+from .instance import TIE_TOL, Instance
 from .solver import TransportPlan, scaled_objective
 
 DEFAULT_CAP = 10**7
-OPT_REL_TOL = 1e-12
 
 
 class OracleCapExceeded(RuntimeError):
@@ -23,7 +22,7 @@ class OracleCapExceeded(RuntimeError):
 @dataclass(frozen=True)
 class OracleResult:
     min_cost: float  # objective value (already divided by the scale)
-    optimal_plans: tuple  # all integral plans attaining min_cost within 1e-12
+    optimal_plans: tuple  # all integral plans tied with min_cost (see brute_force_solve)
     enumerated_count: int
 
 
@@ -73,18 +72,23 @@ def enumerate_plans(inst: Instance, cap: int = DEFAULT_CAP):
 
 
 def brute_force_solve(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
-    """Exact minimum over all integral plans, returning every argmin plan."""
+    """Exact minimum over all integral plans, returning every argmin plan.
+
+    Scaled objectives tie within TIE_TOL * S * max|c|, the tie rule applied
+    to sums of S costs: |scaled objective| <= S * max|c|.
+    """
+    tie = TIE_TOL * inst.scale * inst.costs.max_abs
     best = None
     optimal = []
     count = 0
     for plan in enumerate_plans(inst, cap):
         count += 1
         cost = scaled_objective(inst, plan)
-        if best is None or cost < best - OPT_REL_TOL * max(abs(best), 1.0):
+        if best is None or cost < best - tie:
             best = cost
-            optimal = [p for p in optimal if _close(scaled_objective(inst, p), best)]
+            optimal = [p for p in optimal if scaled_objective(inst, p) <= best + tie]
             optimal.append(plan)
-        elif _close(cost, best):
+        elif cost <= best + tie:
             optimal.append(plan)
     if best is None:
         raise AssertionError("transportation problem is always feasible")
@@ -93,7 +97,3 @@ def brute_force_solve(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
         optimal_plans=tuple(optimal),
         enumerated_count=count,
     )
-
-
-def _close(cost, best):
-    return cost <= best + OPT_REL_TOL * max(abs(best), 1.0)

@@ -20,7 +20,8 @@ It starts from a least-cost (matrix-minimum) basis, screening the cost
 order against live-row and live-column masks in numpy.  Pricing keeps a
 candidate list: a full numpy pricing of all m*n arcs keeps the most negative
 ones, each later pivot reprices only those and enters the most negative, and
-a new full pricing runs only when none is left below the entering cut.  The
+a new full pricing runs only when none is left below the entering cut
+-TIE_TOL*max|c|, under which a reduced cost is not a tie with zero.  The
 solve stops when a full pricing from freshly propagated potentials finds no
 arc below the cut, so the returned plan is an optimal polytope vertex.
 """
@@ -31,16 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .instance import Instance
-
-DEFAULT_DUAL_TOL = 1e-9
-UNCROSS_TIE_TOL = 1e-12
+from .instance import TIE_TOL, Instance
 
 _MAX_PIVOTS = 50_000_000  # safety valve; never hit in practice
-_REFRESH_EVERY = 1024  # full potential recompute cadence (caps rounding drift)
-_ENTER_TOL = 1e-11  # entering threshold relative to max|c|; filters potential
-# propagation noise on exactly tied costs (e.g. duplicated points), which
-# would otherwise enter arcs whose true reduced cost is zero
 # candidate-list length: one per _ARCS_PER_CANDIDATE arcs, at least
 # _MIN_CANDIDATES.  Repricing one arc in Python costs about as much as a numpy
 # pricing of ~100, so a scan of the full list costs about one full pricing
@@ -101,7 +95,6 @@ class DualCertificate:
 
     u: np.ndarray
     v: np.ndarray
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -301,23 +294,18 @@ def solve(inst: Instance) -> TransportPlan:
     w = _tree_potentials(children, c, m, n)
 
     mark = [0] * (m + n)  # apex search: last pivot tag that climbed a node
-    enter_cut = -_ENTER_TOL * inst.costs.max_abs
+    enter_cut = -TIE_TOL * inst.costs.max_abs
     list_size = max(_MIN_CANDIDATES, m * n // _ARCS_PER_CANDIDATE)
     red = np.empty((m, n))  # full-pricing buffer
     cand = []  # candidate list: arcs (c_ij, i, m+j) last priced below enter_cut
-    refreshed = True  # potentials are exact tree propagations, not shifted
     for pivot in range(_MAX_PIVOTS):
-        if pivot % _REFRESH_EVERY == _REFRESH_EVERY - 1 and not refreshed:
-            w = _tree_potentials(children, c, m, n)
-            refreshed = True
         entering = _pick(cand, w, enter_cut)
         if entering is None:
             cand = _price(c_np, w, basis, enter_cut, list_size, red)
-            if not cand and not refreshed:
+            if not cand and pivot:
                 # incremental shifts accumulate rounding; confirm optimality
                 # against freshly propagated potentials before stopping
                 w = _tree_potentials(children, c, m, n)
-                refreshed = True
                 cand = _price(c_np, w, basis, enter_cut, list_size, red)
             entering = _pick(cand, w, enter_cut)
             if entering is None:
@@ -398,7 +386,6 @@ def solve(inst: Instance) -> TransportPlan:
         for x in subtree:
             w[x] -= delta
             subtree.extend(children[x])
-        refreshed = False
     else:
         raise RuntimeError("network simplex exceeded the pivot safety limit")
 
@@ -425,10 +412,10 @@ def scaled_objective(inst: Instance, plan: TransportPlan) -> float:
     return sum(c[i, j] * f for i, j, f in plan.flows)
 
 
-def verify_optimality(
-    inst: Instance, plan: TransportPlan, tol: float = DEFAULT_DUAL_TOL
-) -> Optional[DualCertificate]:
+def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCertificate]:
     """Certify optimality by complementary slackness, or return None.
+
+    A reduced cost within TIE_TOL * max|c| of zero counts as zero.
 
     Potentials are propagated along the support forest; the per-component
     additive freedom is then fixed by solving the induced difference
@@ -474,7 +461,7 @@ def verify_optimality(
             raise SupportCycleError("support contains a cycle")
         ncomp += 1
 
-    abs_tol = tol * max(inst.costs.max_abs, 1.0)
+    abs_tol = TIE_TOL * inst.costs.max_abs
     comp_s = np.array(comp[:m])
     comp_t = np.array(comp[m:])
     red = (c - u[:, None]) - v[None, :]
@@ -494,7 +481,7 @@ def verify_optimality(
     for i, j, _ in plan.flows:
         if abs(red[i, j]) > abs_tol:
             return None
-    return DualCertificate(u=u, v=v, tol=tol)
+    return DualCertificate(u=u, v=v)
 
 
 def _solve_difference_constraints(w, abs_tol):
@@ -568,7 +555,7 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     Each step picks the first crossing in (i, i2, j, j2) order and pushes the
     full min flow in the cost-non-increasing direction, zeroing one entry, so
     the support shrinks every step and the loop terminates.  Ties within
-    1e-12*max|c| push in the direction that zeroes the lexicographically
+    TIE_TOL*max|c| push in the direction that zeroes the lexicographically
     smallest entry.
 
     A push raises two arcs that are already positive and lowers two others,
@@ -579,7 +566,7 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     """
     plan.validate()
     c = inst.costs.c
-    tie_tol = UNCROSS_TIE_TOL * max(inst.costs.max_abs, 0.0)
+    tie_tol = TIE_TOL * inst.costs.max_abs
     flows = plan.flow_dict()
     targets = [set() for _ in range(plan.m)]
     for i, j, _ in plan.flows:

@@ -306,6 +306,22 @@ def test_cli_exit_codes(tmp_path):
         assert main(["uncross", "--instance", str(inst_path),
                      "--plan", str(plan_path), "--out", out]) == 1
         assert not os.path.exists(out)
+    # a non-finite tolerance would report all-zero costs generic, as NaN JSON
+    for tol in ("nan", "inf", "-1e-12"):
+        assert main(["genericity", "--instance", str(inst_path), f"--tol={tol}"]) == 1
+    # plan indices outside the instance: validation error, not a wrong
+    # drawing (i = -1) or a traceback (i >= m)
+    geo_path = tmp_path / "geo.json"
+    save_instance(cost_from_points(gen_points("uniform-square", 2, 2, 0),
+                                   gen_points("uniform-square", 3, 2, 1), 1.0), geo_path)
+    for name, body in (("negative_i", "i,j,num,den\n-1,0,1,2\n1,1,1,2\n"),
+                       ("i_too_big", "i,j,num,den\n0,0,1,2\n2,1,1,2\n")):
+        plan_path = tmp_path / f"{name}.csv"
+        plan_path.write_text(body)
+        out = str(tmp_path / f"{name}.svg")
+        assert main(["plot", "--instance", str(geo_path),
+                     "--plan", str(plan_path), "--out", out]) == 1
+        assert not os.path.exists(out)
 
 
 def test_cli_perturb_at_cost_bound(tmp_path):

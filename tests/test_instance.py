@@ -122,6 +122,13 @@ def test_genericity_monotone_in_tolerance():
         assert set(small.violations) <= set(big.violations)
 
 
+@pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
+def test_genericity_rejects_invalid_tolerance(tol):
+    # inf * max|c| is nan on all-zero costs, and nan would flag no tie
+    with pytest.raises(ValueError):
+        genericity_check(Instance(CostMatrix(np.zeros((2, 2)))), tol=tol)
+
+
 def test_genericity_finds_planted_tie():
     rng = np.random.default_rng(4)
     c = rng.random((4, 6))

@@ -30,6 +30,7 @@ from otrigid.solver import _least_cost_basis, _perturbed_marginals
 # hand-verified 2x3 fixture: unique optimum has scaled cost 2 (objective 1/3)
 C23 = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
 OPT23 = ((0, 0, 2), (0, 1, 1), (1, 1, 1), (1, 2, 2))
+BAD23 = ((0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 2, 2))  # scaled cost 4
 
 
 def test_solve_1x1():
@@ -217,10 +218,31 @@ def test_objective_dimension_mismatch():
 
 def test_verify_rejects_suboptimal_plan():
     inst = Instance(CostMatrix(C23))
-    bad = TransportPlan(2, 3, 6, ((0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 2, 2)))
+    bad = TransportPlan(2, 3, 6, BAD23)
     bad.validate()
     assert objective(inst, bad) == pytest.approx(2 / 3, rel=1e-12)
     assert verify_optimality(inst, bad) is None
+
+
+@pytest.mark.parametrize("k", [-600, -40, 40, 600])
+def test_tie_rule_is_scale_invariant(k):
+    # scaling every cost by 2**k is exact, so no tie decision may change
+    rng = np.random.default_rng(0)
+    near_ties = np.add.outer([0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75])
+    near_ties += 1e-14 * rng.random((3, 4))  # every quadruple ties at TIE_TOL
+    for c in (C23, gen_random_costs(3, 4, 1).costs.c, near_ties):
+        m, n = c.shape
+        base = Instance(CostMatrix(c))
+        scaled = Instance(CostMatrix(c * 2.0**k))
+        assert solve(scaled).flows == solve(base).flows
+        assert genericity_check(scaled).violations == genericity_check(base).violations
+        product = TransportPlan(m, n, m * n, tuple((i, j, 1) for i in range(m) for j in range(n)))
+        assert uncross(scaled, product).flows == uncross(base, product).flows
+        plans = [p.flows for p in brute_force_solve(base).optimal_plans]
+        assert [p.flows for p in brute_force_solve(scaled).optimal_plans] == plans
+    scaled = Instance(CostMatrix(C23 * 2.0**k))
+    assert verify_optimality(scaled, TransportPlan(2, 3, 6, OPT23)) is not None
+    assert verify_optimality(scaled, TransportPlan(2, 3, 6, BAD23)) is None
 
 
 def test_verify_certificate_1x1():
