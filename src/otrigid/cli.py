@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation error (a malformed command line
+included), 2 I/O error.
 """
 from __future__ import annotations
 
@@ -26,9 +27,20 @@ from .solver import find_crossings, objective, solve, uncross
 from .svg import emit_svg
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, not argparse's 2, which is the I/O-error code.
+
+    Subparsers are made with the parser's own class, so they exit 1 too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="otrigid",
-                                 description="Exact discrete optimal transport and rigidity analysis")
+    ap = _Parser(prog="otrigid",
+                 description="Exact discrete optimal transport and rigidity analysis")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve an instance exactly")

@@ -57,10 +57,11 @@ def load_instance(path) -> Instance:
 
 def plan_csv_lines(plan: TransportPlan):
     """Rows 'i,j,num,den' in (i asc, j asc) order, mass in lowest terms."""
+    S = plan.scale
     lines = ["i,j,num,den"]
     for i, j, f in plan.flows:
-        frac = Fraction(f, plan.scale)
-        lines.append(f"{i},{j},{frac.numerator},{frac.denominator}")
+        g = math.gcd(f, S)
+        lines.append(f"{i},{j},{f // g},{S // g}")
     return lines
 
 
@@ -89,21 +90,21 @@ def load_plan_csv(path, m=None, n=None, scale=None) -> TransportPlan:
                 ) from None
             if not den:
                 raise ValueError(f"plan CSV line {reader.line_num}: den is 0")
-            masses.append((i, j, Fraction(num, den)))
+            masses.append((i, j, num, den))
     if not masses:
         raise ValueError("plan CSV has no support entries")
     if m is None:
-        m = max(i for i, _, _ in masses) + 1
+        m = max(i for i, _, _, _ in masses) + 1
     if n is None:
-        n = max(j for _, j, _ in masses) + 1
-    if scale is None:
-        scale = math.lcm(math.lcm(m, n), *(q.denominator for _, _, q in masses))
+        n = max(j for _, j, _, _ in masses) + 1
+    if scale is None:  # lcm of m, n and the lowest-terms denominators
+        scale = math.lcm(math.lcm(m, n),
+                         *(abs(den) // math.gcd(num, den) for _, _, num, den in masses))
     flows = []
-    for i, j, q in masses:
-        f = q * scale
-        if f.denominator != 1:
+    for i, j, num, den in masses:
+        if num * scale % den:
             raise ValueError(f"mass at ({i},{j}) is not integral at scale {scale}")
-        flows.append((i, j, int(f)))
+        flows.append((i, j, num * scale // den))
     return TransportPlan(m, n, scale, tuple(flows))
 
 

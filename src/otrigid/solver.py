@@ -405,11 +405,16 @@ def objective(inst: Instance, plan: TransportPlan) -> float:
 
 
 def scaled_objective(inst: Instance, plan: TransportPlan) -> float:
-    """Integer-weighted cost sum c_ij * f_ij (no division by the scale)."""
+    """Integer-weighted cost sum c_ij * f_ij (no division by the scale).
+
+    Sums in flow order over one (i, j) gather of the support's costs, so the
+    cost is O(support) and an index past the matrix raises IndexError.
+    """
     if plan.m != inst.m or plan.n != inst.n:
         raise ValueError("plan dimensions do not match instance")
-    c = inst.costs.c
-    return sum(c[i, j] * f for i, j, f in plan.flows)
+    flows = plan.flows
+    costs = inst.costs.c[[i for i, _, _ in flows], [j for _, j, _ in flows]].tolist()
+    return sum(cij * f for cij, (_, _, f) in zip(costs, flows))
 
 
 def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCertificate]:
@@ -563,52 +568,66 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     The first crossing pair therefore never moves back in (i, i2) order, and
     one ordered pass over the pairs, pushing on each until it shares fewer
     than two targets, makes exactly the pushes of a rescan after every push.
+    Within a pair, a push on (j, j2) drops j, j2 or both from the common
+    targets and leaves the rest, so the pair's sorted common targets are
+    taken once and walked with a two-slot window: the surviving slot and the
+    next entry are the next (j, j2).
     """
     plan.validate()
     c = inst.costs.c
     tie_tol = TIE_TOL * inst.costs.max_abs
-    flows = plan.flow_dict()
-    targets = [set() for _ in range(plan.m)]
-    for i, j, _ in plan.flows:
-        targets[i].add(j)
+    rows = [{} for _ in range(plan.m)]  # rows[i] = {j: f_ij}, f_ij >= 1
+    for i, j, f in plan.flows:
+        rows[i][j] = f
+    # cost rows as lists, read only for sources that push: a crossing-free
+    # plan on a wide matrix then converts no costs at all
+    crow = [None] * plan.m
 
-    for i in range(plan.m):
+    for i, ri in enumerate(rows):
         for i2 in range(i + 1, plan.m):
-            while len(targets[i]) >= 2:
-                common = sorted(targets[i] & targets[i2])
-                if len(common) < 2:
-                    break
-                j, j2 = common[0], common[1]
+            if len(ri) < 2:
+                break
+            r2 = rows[i2]
+            common = sorted(ri.keys() & r2.keys())
+            if len(common) < 2:
+                continue
+            for k in (i, i2):
+                if crow[k] is None:
+                    crow[k] = c[k].tolist()
+            ci, c2 = crow[i], crow[i2]
+            j = common[0]  # the window's first slot
+            for j2 in common[1:]:
+                if j is None:
+                    j = j2
+                    continue
                 # pushing eps onto the (i,j),(i2,j2) diagonal changes cost by eps*gain
-                gain = (c[i, j] + c[i2, j2]) - (c[i, j2] + c[i2, j])
+                gain = (ci[j] + c2[j2]) - (ci[j2] + c2[j])
                 if abs(gain) <= tie_tol:
-                    # tie: zero the lexicographically smallest entry among the
-                    # two candidates (the min-flow decreased arc of each direction)
-                    down_a = _zeroed_arc(flows, (i, j2), (i2, j))  # +diagonal push
-                    down_b = _zeroed_arc(flows, (i, j), (i2, j2))  # -diagonal push
-                    push_diag = down_a < down_b
+                    # tie: zero the lexicographically smallest entry.  The
+                    # -diagonal push zeroes (i, j), the smallest of all four,
+                    # unless f_i2j2 < f_ij makes it zero (i2, j2), the
+                    # largest; the +diagonal push zeroes (i, j2) or (i2, j)
+                    push_diag = ri[j] > r2[j2]
                 else:
                     push_diag = gain < 0
-                if push_diag:
-                    up, down = ((i, j), (i2, j2)), ((i, j2), (i2, j))
+                # lower (i, a) and (i2, b), raise (i, b) and (i2, a)
+                a, b = (j2, j) if push_diag else (j, j2)
+                eps = min(ri[a], r2[b])
+                ri[b] += eps
+                r2[a] += eps
+                ri[a] -= eps
+                r2[b] -= eps
+                # at least one lowered arc hits zero; a target whose lowered
+                # arc stays positive is still common, and fills the first slot
+                j = None
+                if ri[a]:
+                    j = a
                 else:
-                    up, down = ((i, j2), (i2, j)), ((i, j), (i2, j2))
-                eps = min(flows[down[0]], flows[down[1]])
-                for arc in up:
-                    flows[arc] += eps
-                for arc in down:
-                    flows[arc] -= eps
-                    if flows[arc] == 0:
-                        del flows[arc]
-                        targets[arc[0]].discard(arc[1])
+                    del ri[a]
+                if r2[b]:
+                    j = b
+                else:
+                    del r2[b]
 
-    support = tuple((i, j, f) for (i, j), f in sorted(flows.items()))
+    support = tuple((i, j, f) for i, row in enumerate(rows) for j, f in row.items())
     return TransportPlan(plan.m, plan.n, plan.scale, support)
-
-
-def _zeroed_arc(flows, a1, a2):
-    """The arc a push in this direction zeroes: min flow, lex tie-break."""
-    f1, f2 = flows[a1], flows[a2]
-    if f1 != f2:
-        return a1 if f1 < f2 else a2
-    return min(a1, a2)

@@ -71,6 +71,20 @@ def test_plan_csv_format_and_roundtrip(tmp_path):
     assert inferred.flows == plan.flows and inferred.scale == plan.scale
 
 
+def test_plan_csv_load_reduces_masses(tmp_path):
+    # masses need not be in lowest terms, and a negative den moves the sign
+    # to the mass, as a Fraction would
+    path = tmp_path / "plan.csv"
+    path.write_text("i,j,num,den\n0,0,2,8\n0,1,-1,-4\n1,0,3,12\n1,1,0,5\n1,2,1,4\n")
+    plan = load_plan_csv(path)
+    assert plan.scale == 12
+    assert plan.flows == ((0, 0, 3), (0, 1, 3), (1, 0, 3), (1, 1, 0), (1, 2, 3))
+    path.write_text("i,j,num,den\n0,0,1,-4\n")
+    assert load_plan_csv(path, m=2, n=2).flows == ((0, 0, -1),)
+    with pytest.raises(ValueError, match=r"mass at \(0,0\) is not integral at scale 2"):
+        load_plan_csv(path, m=2, n=2, scale=2)
+
+
 def test_plan_csv_reread_marginals(tmp_path):
     inst = gen_random_costs(4, 10, 5)
     plan = solve(inst)
@@ -309,6 +323,14 @@ def test_cli_exit_codes(tmp_path):
     # a non-finite tolerance would report all-zero costs generic, as NaN JSON
     for tol in ("nan", "inf", "-1e-12"):
         assert main(["genericity", "--instance", str(inst_path), f"--tol={tol}"]) == 1
+    # a malformed command line is a validation error too, not the I/O code:
+    # argparse reads "--tol -1e-12" as a missing value
+    for argv in (["genericity", "--instance", str(inst_path), "--tol", "-1e-12"],
+                 ["solve", "--out-plan", str(tmp_path / "never.csv")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+    assert not (tmp_path / "never.csv").exists()
     # plan indices outside the instance: validation error, not a wrong
     # drawing (i = -1) or a traceback (i >= m)
     geo_path = tmp_path / "geo.json"

@@ -5,6 +5,7 @@ from otrigid import (
     CostMatrix,
     Instance,
     OracleCapExceeded,
+    OracleResult,
     brute_force_solve,
     enumerate_plans,
     find_crossings,
@@ -13,6 +14,8 @@ from otrigid import (
     objective,
     solve,
 )
+from otrigid.instance import TIE_TOL
+from otrigid.solver import scaled_objective
 
 C23 = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
 
@@ -37,6 +40,44 @@ def test_enumerate_2x3_contingency_count():
     for p in plans:
         p.validate()
     assert len({p.flows for p in plans}) == 7
+
+
+def test_enumerate_cap_rejects_non_positive():
+    with pytest.raises(ValueError):
+        list(enumerate_plans(Instance(CostMatrix(C23)), cap=0))
+
+
+def _brute_force_from_plans(inst):
+    """brute_force_solve rebuilt on enumerate_plans and scaled_objective."""
+    tie = TIE_TOL * inst.scale * inst.costs.max_abs
+    best, optimal, count = None, [], 0
+    for plan in enumerate_plans(inst):
+        count += 1
+        cost = scaled_objective(inst, plan)
+        if best is None or cost < best - tie:
+            best = cost
+            optimal = [p for p in optimal if scaled_objective(inst, p) <= best + tie]
+            optimal.append(plan)
+        elif cost <= best + tie:
+            optimal.append(plan)
+    return OracleResult(best / inst.scale, tuple(optimal), count)
+
+
+def _oracle_cost_cases():
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 3):
+        for n in (1, 2, 3, 4):
+            yield rng.random((m, n))
+            yield np.zeros((m, n))
+            yield rng.integers(0, 2, (m, n)).astype(float)
+    for k in (-40, 0, 40):
+        yield C23 * 2.0**k
+
+
+def test_brute_force_matches_plan_enumeration():
+    for c in _oracle_cost_cases():
+        inst = Instance(CostMatrix(c))
+        assert brute_force_solve(inst) == _brute_force_from_plans(inst)
 
 
 def test_enumerate_cap_exceeded():

@@ -24,8 +24,9 @@ from otrigid import (
     uncross,
     verify_optimality,
 )
+from otrigid.instance import TIE_TOL
 from otrigid.io import plan_csv_lines
-from otrigid.solver import _least_cost_basis, _perturbed_marginals
+from otrigid.solver import _least_cost_basis, _perturbed_marginals, scaled_objective
 
 # hand-verified 2x3 fixture: unique optimum has scaled cost 2 (objective 1/3)
 C23 = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
@@ -209,6 +210,19 @@ def test_objective_permutation_formula():
     assert objective(inst, plan) == pytest.approx(expected, rel=1e-14)
 
 
+def test_scaled_objective_matches_entrywise_sum():
+    # the gathered sum must be bit-identical to the entry-by-entry one
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        inst = Instance(CostMatrix(rng.normal(size=(m, n)) * 10.0 ** rng.integers(-30, 30)))
+        for plan in (solve(inst), _random_sparse_plan(rng, m, n, 3)):
+            c = inst.costs.c
+            assert scaled_objective(inst, plan) == sum(c[i, j] * f for i, j, f in plan.flows)
+    with pytest.raises(IndexError):
+        scaled_objective(Instance(CostMatrix(C23)), TransportPlan(2, 3, 6, ((0, 3, 1),)))
+
+
 def test_objective_dimension_mismatch():
     inst = Instance(CostMatrix(np.zeros((2, 2))))
     plan = solve(gen_random_costs(3, 3, 0))
@@ -378,22 +392,28 @@ def test_uncross_properties_on_mixed_permutations(seed, n):
 UNCROSS_DIGEST = "d59945823f87b3aa1ce6e5fd9fd1a50a933edb63e548522b202ea12d5a100065"
 
 
+def _add_northwest_corner(flows, rows, cols, base):
+    """Add the northwest-corner plan at scale `base` over these row and
+    column orders to the {(i, j): f} dict `flows`."""
+    m, n = len(rows), len(cols)
+    supply, demand = [base // m] * m, [base // n] * n
+    a = b = 0
+    while a < m and b < n:
+        i, j = rows[a], cols[b]
+        f = min(supply[i], demand[j])
+        flows[(i, j)] = flows.get((i, j), 0) + f
+        supply[i] -= f
+        demand[j] -= f
+        a += supply[i] == 0
+        b += demand[j] == 0
+
+
 def _random_sparse_plan(rng, m, n, layers):
     """Sum of `layers` northwest-corner plans over random row/column orders."""
     base = math.lcm(m, n)
     flows = {}
     for _ in range(layers):
-        rows, cols = rng.permutation(m).tolist(), rng.permutation(n).tolist()
-        supply, demand = [base // m] * m, [base // n] * n
-        a = b = 0
-        while a < m and b < n:
-            i, j = rows[a], cols[b]
-            f = min(supply[i], demand[j])
-            flows[(i, j)] = flows.get((i, j), 0) + f
-            supply[i] -= f
-            demand[j] -= f
-            a += supply[i] == 0
-            b += demand[j] == 0
+        _add_northwest_corner(flows, rng.permutation(m).tolist(), rng.permutation(n).tolist(), base)
     return TransportPlan(m, n, layers * base, tuple((i, j, f) for (i, j), f in flows.items()))
 
 
@@ -426,6 +446,74 @@ def test_uncross_output_digest():
         out = uncross(inst, plan)
         h.update(("\n".join(plan_csv_lines(out)) + "\n").encode())
     assert h.hexdigest() == UNCROSS_DIGEST
+
+
+def _uncross_by_definition(inst, plan):
+    """uncross as its docstring defines it: push on find_crossings' first
+    crossing until none is left."""
+    c = inst.costs.c
+    tie_tol = TIE_TOL * inst.costs.max_abs
+    flows = plan.flow_dict()
+    while True:
+        cur = TransportPlan(plan.m, plan.n, plan.scale,
+                            tuple((i, j, f) for (i, j), f in flows.items()))
+        crossings = find_crossings(cur)
+        if not crossings:
+            return cur
+        i, i2, j, j2 = crossings[0].i, crossings[0].i2, crossings[0].j, crossings[0].j2
+        diag, anti = ((i, j), (i2, j2)), ((i, j2), (i2, j))
+        gain = (c[i, j] + c[i2, j2]) - (c[i, j2] + c[i2, j])
+        if abs(gain) <= tie_tol:
+            # a push zeroes its lowered arc of least flow (the lexicographically
+            # smaller on equal flows); zero the smaller of the two candidates
+            def zeroed(arcs):
+                return min(arcs, key=lambda arc: (flows[arc], arc))
+            push_diag = zeroed(anti) < zeroed(diag)
+        else:
+            push_diag = gain < 0
+        up, down = (diag, anti) if push_diag else (anti, diag)
+        eps = min(flows[arc] for arc in down)
+        for arc in up:
+            flows[arc] += eps
+        for arc in down:
+            flows[arc] -= eps
+            if not flows[arc]:
+                del flows[arc]
+
+
+@st.composite
+def _layered_plans(draw):
+    """(inst, plan): a sum of 1-4 permutation or northwest-corner plans on
+    continuous, 0/1/2-valued or additive (every push a tie) costs."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    base = math.lcm(m, n)
+    layers = draw(st.integers(1, 4))
+    flows = {}
+    for _ in range(layers):
+        if m == n and draw(st.booleans()):
+            for i, j in enumerate(draw(st.permutations(range(n)))):
+                flows[(i, j)] = flows.get((i, j), 0) + base // n
+        else:
+            _add_northwest_corner(flows, draw(st.permutations(range(m))),
+                                  draw(st.permutations(range(n))), base)
+    plan = TransportPlan(m, n, layers * base, tuple((i, j, f) for (i, j), f in flows.items()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["continuous", "small", "additive"]))
+    if kind == "continuous":
+        c = rng.random((m, n))
+    elif kind == "small":
+        c = rng.integers(0, 3, (m, n)).astype(float)
+    else:
+        c = (rng.integers(0, 5, m)[:, None] + rng.integers(0, 5, n)[None, :]).astype(float)
+    return Instance(CostMatrix(c)), plan
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_layered_plans())
+def test_uncross_matches_definition(case):
+    inst, plan = case
+    plan.validate()
+    assert uncross(inst, plan) == _uncross_by_definition(inst, plan)
 
 
 def test_plan_validate_rejects_bad_marginals():
