@@ -52,7 +52,6 @@ class PairCountReport:
 
 
 def rigidity_report(plan: TransportPlan) -> RigidityReport:
-    plan.validate()
     m, n = plan.m, plan.n
     t = [0] * m
     ell = [0] * n

@@ -69,7 +69,6 @@ def birkhoff_decompose(plan: TransportPlan) -> PermutationDecomposition:
     """
     if plan.m != plan.n:
         raise ValueError("Birkhoff decomposition requires m = n")
-    plan.validate()
     n = plan.n
     S = plan.scale
     residual = plan.flow_dict()

@@ -30,12 +30,17 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    if not isinstance(data, dict) or not {"m", "n", "costs"} <= data.keys():
+        raise ValueError("instance JSON must be an object with keys m, n and costs")
     costs = CostMatrix(np.array(data["costs"], dtype=float))
     if costs.m != data["m"] or costs.n != data["n"]:
         raise ValueError("declared m, n do not match the cost matrix shape")
     geometry = None
     if data.get("geometry") is not None:
         g = data["geometry"]
+        if not isinstance(g, dict) or not {"sources", "targets", "p"} <= g.keys():
+            raise ValueError("instance geometry must be an object with keys "
+                             "sources, targets and p")
         geometry = Geometry(
             PointCloud(np.array(g["sources"], dtype=float), "source"),
             PointCloud(np.array(g["targets"], dtype=float), "target"),
@@ -73,13 +78,15 @@ def save_plan_csv(plan: TransportPlan, path):
 def load_plan_csv(path, m=None, n=None, scale=None) -> TransportPlan:
     """Rebuild a plan from CSV; m, n, scale are inferred when omitted.
 
-    Inference assumes a feasible plan (every source and target appears); the
-    scale is the smallest integer making all masses and both marginals
-    integral.
+    m and n are one past the largest indices, and the scale is the smallest
+    integer making all masses and both marginals integral.  The plan checks
+    its own feasibility, so an infeasible file raises ValueError here.
     """
     masses = []
     with open(path) as fh:
         reader = csv.DictReader(fh)
+        if not {"i", "j", "num", "den"} <= set(reader.fieldnames or ()):
+            raise ValueError("plan CSV header must name the columns i, j, num and den")
         for row in reader:
             try:
                 i, j = int(row["i"]), int(row["j"])

@@ -24,6 +24,8 @@ a new full pricing runs only when none is left below the entering cut
 -TIE_TOL*max|c|, under which a reduced cost is not a tie with zero.  The
 solve stops when a full pricing from freshly propagated potentials finds no
 arc below the cut, so the returned plan is an optimal polytope vertex.
+A ``TransportPlan`` is exactly feasible once built, so a function taking one
+with an instance checks only that the shapes agree (``check_shape``).
 """
 from __future__ import annotations
 
@@ -47,8 +49,8 @@ _START_BLOCK = 512  # arcs the start screens per numpy live-mask pass
 class TransportPlan:
     """Sparse integer flow matrix at scale S; mass_ij = f_ij / S.
 
-    Row sums are S/m and column sums S/n exactly (integer arithmetic).
-    ``flows`` lists (i, j, f_ij) with f_ij >= 1 in (i asc, j asc) order.
+    Feasible by construction: ``flows`` is sorted to (i asc, j asc), then
+    ``validate`` runs, so each f_ij >= 1 and rows sum to S/m, columns to S/n.
     """
 
     m: int
@@ -58,27 +60,31 @@ class TransportPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "flows", tuple(sorted(map(tuple, self.flows))))
+        self.validate()
 
     def validate(self):
         """Check exact integral feasibility; raises ValueError on violation."""
-        if self.scale % self.m or self.scale % self.n:
+        m, n, scale = self.m, self.n, self.scale
+        if min(m, n, scale) < 1:
+            raise ValueError(f"m, n and scale must be at least 1, got {m}, {n}, {scale}")
+        if scale % m or scale % n:
             raise ValueError("scale must be divisible by both m and n")
-        row = [0] * self.m
-        col = [0] * self.n
-        seen = set()
+        row = [0] * m
+        col = [0] * n
+        pi = pj = -1  # flows are sorted, so a duplicate follows its twin
         for i, j, f in self.flows:
-            if not (0 <= i < self.m and 0 <= j < self.n):
+            if not (0 <= i < m and 0 <= j < n):
                 raise ValueError(f"flow index ({i},{j}) out of range")
             if f < 1:
                 raise ValueError(f"flow ({i},{j}) must be a positive integer")
-            if (i, j) in seen:
+            if i == pi and j == pj:
                 raise ValueError(f"duplicate flow entry ({i},{j})")
-            seen.add((i, j))
+            pi, pj = i, j
             row[i] += f
             col[j] += f
-        if any(r != self.scale // self.m for r in row):
+        if row != [scale // m] * m:
             raise ValueError("source not exactly depleted")
-        if any(c != self.scale // self.n for c in col):
+        if col != [scale // n] * n:
             raise ValueError("target not exactly filled")
 
     @property
@@ -399,6 +405,13 @@ def solve(inst: Instance) -> TransportPlan:
     return TransportPlan(m, n, S, support)
 
 
+def check_shape(inst: Instance, plan: TransportPlan):
+    """Raise ValueError unless the plan is m x n like the instance."""
+    if plan.m != inst.m or plan.n != inst.n:
+        raise ValueError("plan and instance shapes do not match: "
+                         f"{plan.m}x{plan.n} vs {inst.m}x{inst.n}")
+
+
 def objective(inst: Instance, plan: TransportPlan) -> float:
     """Total transport cost sum c_ij * f_ij / S."""
     return scaled_objective(inst, plan) / plan.scale
@@ -408,10 +421,9 @@ def scaled_objective(inst: Instance, plan: TransportPlan) -> float:
     """Integer-weighted cost sum c_ij * f_ij (no division by the scale).
 
     Sums in flow order over one (i, j) gather of the support's costs, so the
-    cost is O(support) and an index past the matrix raises IndexError.
+    cost is O(support).  Raises ValueError when the shapes differ.
     """
-    if plan.m != inst.m or plan.n != inst.n:
-        raise ValueError("plan dimensions do not match instance")
+    check_shape(inst, plan)
     flows = plan.flows
     costs = inst.costs.c[[i for i, _, _ in flows], [j for _, j, _ in flows]].tolist()
     return sum(cij * f for cij, (_, _, f) in zip(costs, flows))
@@ -426,9 +438,9 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
     additive freedom is then fixed by solving the induced difference
     constraints (Bellman-Ford over components) so that a valid certificate is
     found whenever one exists.  Raises SupportCycleError if the support is not
-    a forest.
+    a forest, and ValueError when the shapes differ.
     """
-    plan.validate()
+    check_shape(inst, plan)
     m, n = inst.m, inst.n
     c = inst.costs.c
     nnodes = m + n
@@ -436,8 +448,6 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
     for i, j, _ in plan.flows:
         adj[i].append(m + j)
         adj[m + j].append(i)
-    if plan.support_size > nnodes - 1:
-        raise SupportCycleError("support has more than m+n-1 edges")
 
     u = np.zeros(m)
     v = np.zeros(n)
@@ -535,10 +545,14 @@ def find_crossings(plan: TransportPlan, inst: Optional[Instance] = None):
     """All (i<i2, j<j2) quadruples where all four flows are positive.
 
     Only source pairs sharing two or more targets (``shared_targets``) yield
-    crossings.  Costs are attached when an instance is supplied.
+    crossings.  Costs are attached when an instance is supplied, which must
+    have the plan's shape.
     """
     out = []
-    c = inst.costs.c if inst is not None else None
+    c = None
+    if inst is not None:
+        check_shape(inst, plan)
+        c = inst.costs.c
     for (i, i2), common in sorted(shared_targets(plan).items()):
         for a, j in enumerate(common):
             for j2 in common[a + 1:]:
@@ -571,9 +585,10 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     Within a pair, a push on (j, j2) drops j, j2 or both from the common
     targets and leaves the rest, so the pair's sorted common targets are
     taken once and walked with a two-slot window: the surviving slot and the
-    next entry are the next (j, j2).
+    next entry are the next (j, j2).  Raises ValueError when the shapes
+    differ.
     """
-    plan.validate()
+    check_shape(inst, plan)
     c = inst.costs.c
     tie_tol = TIE_TOL * inst.costs.max_abs
     rows = [{} for _ in range(plan.m)]  # rows[i] = {j: f_ij}, f_ij >= 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .instance import Instance
-from .solver import TransportPlan
+from .solver import TransportPlan, check_shape
 
 VIEWPORT = 800.0
 MARGIN = 0.05
@@ -20,6 +20,7 @@ def _fmt(x):
 
 
 def svg_document(inst: Instance, plan: TransportPlan) -> str:
+    check_shape(inst, plan)
     if inst.geometry is None:
         raise ValueError("instance has no geometry to plot")
     src = inst.geometry.sources.points

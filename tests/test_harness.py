@@ -75,14 +75,33 @@ def test_plan_csv_load_reduces_masses(tmp_path):
     # masses need not be in lowest terms, and a negative den moves the sign
     # to the mass, as a Fraction would
     path = tmp_path / "plan.csv"
-    path.write_text("i,j,num,den\n0,0,2,8\n0,1,-1,-4\n1,0,3,12\n1,1,0,5\n1,2,1,4\n")
+    path.write_text("i,j,num,den\n0,0,2,8\n0,1,-1,-4\n1,0,3,36\n1,1,-1,-12\n1,2,1,3\n")
     plan = load_plan_csv(path)
     assert plan.scale == 12
-    assert plan.flows == ((0, 0, 3), (0, 1, 3), (1, 0, 3), (1, 1, 0), (1, 2, 3))
-    path.write_text("i,j,num,den\n0,0,1,-4\n")
-    assert load_plan_csv(path, m=2, n=2).flows == ((0, 0, -1),)
-    with pytest.raises(ValueError, match=r"mass at \(0,0\) is not integral at scale 2"):
-        load_plan_csv(path, m=2, n=2, scale=2)
+    assert plan.flows == ((0, 0, 3), (0, 1, 3), (1, 0, 1), (1, 1, 1), (1, 2, 4))
+    with pytest.raises(ValueError, match=r"mass at \(0,0\) is not integral at scale 6"):
+        load_plan_csv(path, m=2, n=3, scale=6)
+    # a zero mass, or one made negative by its den, is no support entry
+    for body in ("i,j,num,den\n0,0,1,2\n0,1,0,5\n1,1,1,2\n",
+                 "i,j,num,den\n0,0,1,-2\n1,1,1,2\n"):
+        path.write_text(body)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            load_plan_csv(path)
+
+
+def test_plan_csv_load_rejects_infeasible(tmp_path):
+    # the plan checks its own feasibility, so a bad file fails at load
+    path = tmp_path / "plan.csv"
+    for body, match in (("i,j,num,den\n0,0,1,2\n1,1,1,4\n1,0,1,4\n", "not exactly"),
+                        ("i,j,num,den\n0,0,1,4\n0,0,1,4\n1,1,1,2\n", "duplicate"),
+                        ("i,j,num,den\n-1,-1,1,1\n", "at least 1"),
+                        ("i,j,num\n0,0,1\n", "columns i, j, num and den")):
+        path.write_text(body)
+        with pytest.raises(ValueError, match=match):
+            load_plan_csv(path)
+    path.write_text("i,j,num,den\n0,1,1,1\n")
+    with pytest.raises(ValueError, match="out of range"):
+        load_plan_csv(path, m=1, n=1)
 
 
 def test_plan_csv_reread_marginals(tmp_path):
@@ -292,7 +311,7 @@ def test_cli_experiment(tmp_path, capsys):
     assert len(summary["records"]) == 2
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", "--instance", str(tmp_path / "missing.json")]) == 2
     inst_path = tmp_path / "inst.json"
     # m = 0: validation error
@@ -320,6 +339,27 @@ def test_cli_exit_codes(tmp_path):
         assert main(["uncross", "--instance", str(inst_path),
                      "--plan", str(plan_path), "--out", out]) == 1
         assert not os.path.exists(out)
+    # a plan of no source and no target, an infeasible plan and a header
+    # without den: a message that names the problem, not a traceback
+    for name, body, says in (("empty_shape", "i,j,num,den\n-1,-1,1,1\n", "at least 1"),
+                             ("infeasible", "i,j,num,den\n0,0,1,2\n", "not exactly"),
+                             ("no_den", "i,j,num\n0,0,1\n", "columns i, j, num and den")):
+        plan_path = tmp_path / f"{name}.csv"
+        plan_path.write_text(body)
+        out = str(tmp_path / f"{name}.out")
+        capsys.readouterr()
+        assert main(["birkhoff", "--plan", str(plan_path), "--out", out]) == 1
+        assert says in capsys.readouterr().err
+        assert main(["analyze", "--instance", str(inst_path), "--plan", str(plan_path)]) == 1
+        assert not os.path.exists(out)
+    # an instance JSON that is not an object, or whose geometry is not one
+    for name, data in (("null", None), ("list", []),
+                       ("geometry", {"m": 1, "n": 1, "costs": [[0.0]], "geometry": 5})):
+        bad_path = tmp_path / f"{name}.json"
+        bad_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(bad_path)]) == 1
+        assert "must be an object" in capsys.readouterr().err
     # a non-finite tolerance would report all-zero costs generic, as NaN JSON
     for tol in ("nan", "inf", "-1e-12"):
         assert main(["genericity", "--instance", str(inst_path), f"--tol={tol}"]) == 1

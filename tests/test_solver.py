@@ -27,6 +27,7 @@ from otrigid import (
 from otrigid.instance import TIE_TOL
 from otrigid.io import plan_csv_lines
 from otrigid.solver import _least_cost_basis, _perturbed_marginals, scaled_objective
+from otrigid.svg import svg_document
 
 # hand-verified 2x3 fixture: unique optimum has scaled cost 2 (objective 1/3)
 C23 = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
@@ -64,12 +65,12 @@ def test_solve_support_is_forest():
         plan = solve(inst)
         plan.validate()
         assert plan.support_size <= inst.m + inst.n - 1
-        assert _is_forest(plan)
+        assert _is_forest(plan.m, plan.n, [(i, j) for i, j, _ in plan.flows])
 
 
-def _is_forest(plan):
-    # union-find over the bipartite support
-    parent = list(range(plan.m + plan.n))
+def _is_forest(m, n, arcs):
+    # union-find over the bipartite graph of the (i, j) arcs
+    parent = list(range(m + n))
 
     def find(x):
         while parent[x] != x:
@@ -77,8 +78,8 @@ def _is_forest(plan):
             x = parent[x]
         return x
 
-    for i, j, _ in plan.flows:
-        a, b = find(i), find(plan.m + j)
+    for i, j in arcs:
+        a, b = find(i), find(m + j)
         if a == b:
             return False
         parent[a] = b
@@ -164,7 +165,7 @@ def test_perturbed_start_is_a_positive_spanning_tree(c):
         rows[k // n] += f
         cols[k % n] += f
     assert rows == supply and cols == demand
-    assert _is_forest(TransportPlan(m, n, 1, [divmod(k, n) + (1,) for k in flows]))
+    assert _is_forest(m, n, [divmod(k, n) for k in flows])
 
 
 def _full_order_start(c, supply, demand):
@@ -219,8 +220,9 @@ def test_scaled_objective_matches_entrywise_sum():
         for plan in (solve(inst), _random_sparse_plan(rng, m, n, 3)):
             c = inst.costs.c
             assert scaled_objective(inst, plan) == sum(c[i, j] * f for i, j, f in plan.flows)
-    with pytest.raises(IndexError):
-        scaled_objective(Instance(CostMatrix(C23)), TransportPlan(2, 3, 6, ((0, 3, 1),)))
+    # an index past the matrix cannot reach it: the plan is not built
+    with pytest.raises(ValueError, match="out of range"):
+        TransportPlan(2, 3, 6, ((0, 3, 1),))
 
 
 def test_objective_dimension_mismatch():
@@ -309,11 +311,13 @@ def _brute_force_crossings(plan, inst):
 @pytest.mark.parametrize("m,n,seed", [(1, 6, 0), (6, 1, 1), (2, 2, 2), (5, 9, 3),
                                       (9, 5, 4), (12, 12, 5)])
 def test_find_crossings_matches_brute_force(m, n, seed, density):
-    # supports need not be feasible plans: density 1.0 is the full product
+    # density 1.0 is the full product coupling; below it, a sum of
+    # northwest-corner plans (at most m+n-1 arcs each) about that dense
     rng = np.random.default_rng(seed)
-    mask = rng.random((m, n)) < density
-    flows = tuple((i, j, 1) for i, j in np.argwhere(mask).tolist())
-    plan = TransportPlan(m, n, m * n, flows)
+    if density == 1.0:
+        plan = TransportPlan(m, n, m * n, tuple((i, j, 1) for i in range(m) for j in range(n)))
+    else:
+        plan = _random_sparse_plan(rng, m, n, math.ceil(density * m * n / (m + n - 1)))
     inst = gen_random_costs(m, n, seed)
     got = [(x.i, x.i2, x.j, x.j2, x.costs) for x in find_crossings(plan, inst)]
     assert got == _brute_force_crossings(plan, inst)
@@ -523,3 +527,33 @@ def test_plan_validate_rejects_bad_marginals():
         TransportPlan(2, 3, 6, ((0, 0, 3), (1, 1, 3))).validate()
     with pytest.raises(ValueError):
         TransportPlan(2, 3, 4, ((0, 0, 2), (1, 1, 2))).validate()  # 4 % 3 != 0
+    # construction runs the check: no infeasible plan is ever built
+    for args, match in (
+        ((2, 2, 4, ((1, 0, 1), (0, 1, 2), (1, 0, 1))), "duplicate flow entry \\(1,0\\)"),
+        ((2, 2, 4, ((0, 0, 2), (1, 2, 2))), "out of range"),
+        ((2, 2, 4, ((-1, 0, 2), (1, 1, 2))), "out of range"),
+        ((2, 2, 2, ((0, 0, 1), (1, 1, 1), (0, 1, 0))), "positive integer"),
+        ((2, 2, 0, ()), "at least 1"),
+        ((0, 2, 2, ()), "at least 1"),
+        ((2, 0, 2, ()), "at least 1"),
+        ((2, 3, 4, ((0, 0, 2), (1, 1, 2))), "divisible"),
+        ((3, 2, 4, ((0, 0, 2), (1, 1, 2))), "divisible"),
+        ((2, 3, 6, ((0, 0, 3), (1, 1, 3))), "target not exactly filled"),
+        ((2, 2, 4, ((0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 1))), "source not exactly depleted"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            TransportPlan(*args)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (4, 4), (3, 2)])
+def test_plan_shape_must_match_instance(m, n):
+    # a plan of another shape is refused, not certified, indexed past the
+    # matrix or drawn
+    inst = gen_random_costs(3, 3, 0)
+    plan = solve(gen_random_costs(m, n, 0))
+    for check in (objective, verify_optimality, uncross, lambda i, p: find_crossings(p, i)):
+        with pytest.raises(ValueError, match="do not match"):
+            check(inst, plan)
+    geo = cost_from_points(PointCloud(np.eye(3, 2), "source"), PointCloud(np.eye(3, 2), "target"), 1.0)
+    with pytest.raises(ValueError, match="do not match"):
+        svg_document(geo, plan)
