@@ -17,13 +17,23 @@ class PermutationDecomposition:
     """Convex combination of permutations recombining exactly to an m = n plan.
 
     terms: ((sigma, weight), ...) with sigma a tuple mapping row -> column and
-    weight a positive Fraction; weights sum to exactly 1.
+    weight a positive Fraction; weights sum to exactly 1.  Construction
+    checks all of this and raises ValueError on a violation.
     """
 
     n: int
     terms: tuple
 
     def __post_init__(self):
+        n = self.n
+        if type(n) is not int or n < 1:
+            raise ValueError(f"decomposition size must be an int >= 1, got {n!r}")
+        perm = list(range(n))
+        for sigma, w in self.terms:
+            if any(type(j) is not int for j in sigma) or sorted(sigma) != perm:
+                raise ValueError(f"{sigma!r} is not a permutation of range({n})")
+            if not isinstance(w, Fraction) or w <= 0:
+                raise ValueError(f"decomposition weight {w!r} is not a positive Fraction")
         if sum(w for _, w in self.terms) != 1:
             raise ValueError("decomposition weights must sum to exactly 1")
 

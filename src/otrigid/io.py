@@ -154,11 +154,20 @@ def decomposition_to_dict(dec: PermutationDecomposition) -> dict:
 
 
 def decomposition_from_dict(data: dict) -> PermutationDecomposition:
-    terms = tuple(
-        (tuple(t["perm"]), Fraction(t["num"], t["den"])) for t in data["terms"]
-    )
-    n = len(terms[0][0])
-    return PermutationDecomposition(n=n, terms=terms)
+    """Rebuild a decomposition; raises ValueError naming what is malformed."""
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list) or not data["terms"]:
+        raise ValueError("decomposition JSON must be an object with a non-empty list terms")
+    terms = []
+    for k, t in enumerate(data["terms"]):
+        if not isinstance(t, dict) or not {"perm", "num", "den"} <= t.keys():
+            raise ValueError(f"decomposition term {k} must be an object with keys "
+                             "perm, num and den")
+        perm, num, den = t["perm"], t["num"], t["den"]
+        if not isinstance(perm, list) or type(num) is not int or type(den) is not int or not den:
+            raise ValueError(f"decomposition term {k}: perm must be a list, "
+                             "num and den ints with den != 0")
+        terms.append((tuple(perm), Fraction(num, den)))
+    return PermutationDecomposition(n=len(terms[0][0]), terms=tuple(terms))
 
 
 def save_decomposition_json(dec: PermutationDecomposition, path):

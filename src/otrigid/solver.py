@@ -6,7 +6,13 @@ spanning-tree basis on the bipartite graph K_{m,n}, rooted at source 0 and
 kept as node-indexed lists: the tree arc from node x to parent[x] keeps its
 flow in pflow[x] and its position in the basis in pslot[x], beside the
 children lists.  A pivot walks only its cycle and the subtree it re-hangs,
-and touches no dict.
+and touches no dict.  Potentials are one list w, with w_i = u_i for a
+source and w_{m+j} = -v_j for a target.
+
+``verify_optimality`` works on the same objects: ``_rooted_forest`` roots
+the support forest of any plan (each tree at its lowest node, so a spanning
+tree at source 0) and ``_tree_potentials`` propagates w down every tree,
+for the certificate as for the basis.
 
 It pivots on an exactly perturbed integer problem (see
 ``_perturbed_marginals``) whose every basis is nondegenerate: each pivot
@@ -50,7 +56,8 @@ class TransportPlan:
     """Sparse integer flow matrix at scale S; mass_ij = f_ij / S.
 
     Feasible by construction: ``flows`` is sorted to (i asc, j asc), then
-    ``validate`` runs, so each f_ij >= 1 and rows sum to S/m, columns to S/n.
+    ``validate`` runs, so m, n, S and every i, j, f_ij are ints, each
+    f_ij >= 1 and rows sum to S/m, columns to S/n.
     """
 
     m: int
@@ -65,6 +72,8 @@ class TransportPlan:
     def validate(self):
         """Check exact integral feasibility; raises ValueError on violation."""
         m, n, scale = self.m, self.n, self.scale
+        if not (type(m) is type(n) is type(scale) is int):
+            raise ValueError(f"m, n and scale must be ints, got {m!r}, {n!r}, {scale!r}")
         if min(m, n, scale) < 1:
             raise ValueError(f"m, n and scale must be at least 1, got {m}, {n}, {scale}")
         if scale % m or scale % n:
@@ -73,6 +82,8 @@ class TransportPlan:
         col = [0] * n
         pi = pj = -1  # flows are sorted, so a duplicate follows its twin
         for i, j, f in self.flows:
+            if not (type(i) is type(j) is type(f) is int):
+                raise ValueError(f"flow ({i!r},{j!r},{f!r}) must be three ints")
             if not (0 <= i < m and 0 <= j < n):
                 raise ValueError(f"flow index ({i},{j}) out of range")
             if f < 1:
@@ -188,58 +199,72 @@ def _least_cost_basis(c_np, supply, demand):
     return flows
 
 
-def _rooted_tree(flows, m, n):
-    """Root the spanning tree on arcs ``flows`` (by i*n+j) at source 0.
+def _rooted_forest(arcs, m, n):
+    """Root every tree of the forest on ``arcs``, (i, j, f) triples, at its
+    lowest node.
 
-    Nodes are sources 0..m-1 and targets m..m+n-1.  Returns (parent,
-    children, pflow, pslot) as plain lists, with parent[0] = -1: the tree
-    arc from x to parent[x] carries pflow[x] and sits at position pslot[x]
-    of the basis, which lists ``flows`` in insertion order.
+    Nodes are sources 0..m-1 and targets m..m+n-1; in a feasible plan each
+    tree's lowest node is a source, and a spanning tree is rooted at node 0.
+    Returns (parent, children, pflow, pslot, tree) as plain lists, with
+    parent -1 at each root: the arc from x to parent[x] carries pflow[x] and
+    is arcs[pslot[x]], and tree[x] numbers x's tree in the order of the
+    roots.  Raises SupportCycleError at the first arc that closes a cycle.
     """
-    adj = [[] for _ in range(m + n)]
-    for t, (k, f) in enumerate(flows.items()):
-        i, j = divmod(k, n)
+    size = m + n
+    adj = [[] for _ in range(size)]
+    for t, (i, j, f) in enumerate(arcs):
         adj[i].append((m + j, f, t))
         adj[m + j].append((i, f, t))
-    parent = [-1] * (m + n)
-    pflow = [0] * (m + n)
-    pslot = [-1] * (m + n)
-    children = [[] for _ in range(m + n)]
-    stack = [0]
+    parent = [-1] * size
+    pflow = [0] * size
+    pslot = [-1] * size
+    tree = [-1] * size
+    children = [[] for _ in range(size)]
+    k = 0
+    for root in range(size):
+        if tree[root] >= 0:
+            continue
+        tree[root] = k
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            up = parent[x]
+            kids = children[x]
+            for nb, f, t in adj[x]:
+                if nb != up:
+                    if tree[nb] >= 0:
+                        raise SupportCycleError("support contains a cycle")
+                    tree[nb] = k
+                    parent[nb] = x
+                    pflow[nb] = f
+                    pslot[nb] = t
+                    kids.append(nb)
+            stack.extend(kids)
+        k += 1
+    return parent, children, pflow, pslot, tree
+
+
+def _tree_potentials(parent, children, pslot, arc_cost, m):
+    """Propagate u_i + v_j = c_ij down every tree from 0 at its root.
+
+    ``arc_cost`` is a numpy array of the tree arcs' costs by slot.  Returns
+    one list w with w_i = u_i for a source and w_{m+j} = -v_j for a target:
+    reduced costs are c_ij - w_i + w_{m+j}, and shifting u by -d and v by +d
+    on a subtree is w -= d on its nodes.
+    """
+    cost = arc_cost.tolist()
+    w = [0.0] * len(parent)
+    stack = [x for x, up in enumerate(parent) if up < 0]
     while stack:
         x = stack.pop()
-        for nb, f, t in adj[x]:
-            if nb != parent[x]:
-                parent[nb] = x
-                pflow[nb] = f
-                pslot[nb] = t
-                children[x].append(nb)
-                stack.append(nb)
-    return parent, children, pflow, pslot
-
-
-def _tree_potentials(children, c, m, n):
-    """Propagate u_i + v_j = c_ij down the tree from u_0 = 0.
-
-    ``c`` is a nested list.  Returns one list w with w_i = u_i for a source
-    and w_{m+j} = -v_j for a target: reduced costs are c_ij - w_i + w_{m+j},
-    and shifting u by -d and v by +d on a subtree is w -= d on its nodes.
-    """
-    w = [0.0] * (m + n)
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        kids = children[node]
-        if node < m:
-            ui = w[node]
-            crow = c[node]
+        kids = children[x]
+        wx = w[x]
+        if x < m:
             for t in kids:
-                w[t] = ui - crow[t - m]
+                w[t] = wx - cost[pslot[t]]
         else:
-            minus_vj = w[node]
-            j = node - m
             for i in kids:
-                w[i] = c[i][j] + minus_vj
+                w[i] = cost[pslot[i]] + wx
         stack.extend(kids)
     return w
 
@@ -291,13 +316,13 @@ def solve(inst: Instance) -> TransportPlan:
     m, n = inst.m, inst.n
     S = inst.scale
     c_np = inst.costs.c
-    c = c_np.tolist()
 
     K, supply, demand = _perturbed_marginals(m, n, S)
     flows = _least_cost_basis(c_np, supply, demand)  # tree arcs, by i*n+j
     basis = np.fromiter(flows, dtype=np.intp, count=len(flows))
-    parent, children, pflow, pslot = _rooted_tree(flows, m, n)
-    w = _tree_potentials(children, c, m, n)
+    parent, children, pflow, pslot, _ = _rooted_forest(
+        [(k // n, k % n, f) for k, f in flows.items()], m, n)
+    w = _tree_potentials(parent, children, pslot, c_np.take(basis), m)
 
     mark = [0] * (m + n)  # apex search: last pivot tag that climbed a node
     enter_cut = -TIE_TOL * inst.costs.max_abs
@@ -311,7 +336,7 @@ def solve(inst: Instance) -> TransportPlan:
             if not cand and pivot:
                 # incremental shifts accumulate rounding; confirm optimality
                 # against freshly propagated potentials before stopping
-                w = _tree_potentials(children, c, m, n)
+                w = _tree_potentials(parent, children, pslot, c_np.take(basis), m)
                 cand = _price(c_np, w, basis, enter_cut, list_size, red)
             entering = _pick(cand, w, enter_cut)
             if entering is None:
@@ -434,69 +459,38 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
 
     A reduced cost within TIE_TOL * max|c| of zero counts as zero.
 
-    Potentials are propagated along the support forest; the per-component
+    The support is rooted as a forest (``_rooted_forest``) and potentials
+    are propagated down each tree in ``solve``'s w form.  Each tree's
     additive freedom is then fixed by solving the induced difference
-    constraints (Bellman-Ford over components) so that a valid certificate is
-    found whenever one exists.  Raises SupportCycleError if the support is not
-    a forest, and ValueError when the shapes differ.
+    constraints (Bellman-Ford over trees), so that a valid certificate is
+    found whenever one exists.  Raises SupportCycleError if the support is
+    not a forest, and ValueError when the shapes differ.
     """
     check_shape(inst, plan)
     m, n = inst.m, inst.n
     c = inst.costs.c
-    nnodes = m + n
-    adj = [[] for _ in range(nnodes)]
-    for i, j, _ in plan.flows:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-
-    u = np.zeros(m)
-    v = np.zeros(n)
-    comp = [-1] * nnodes
-    ncomp = 0
-    for root in range(nnodes):
-        if comp[root] >= 0:
-            continue
-        comp[root] = ncomp
-        stack = [root]
-        edges = 0
-        nodes = 0
-        while stack:
-            x = stack.pop()
-            nodes += 1
-            edges += len(adj[x])
-            for nb in adj[x]:
-                if comp[nb] < 0:
-                    comp[nb] = ncomp
-                    if x < m:
-                        v[nb - m] = c[x, nb - m] - u[x]
-                    else:
-                        u[nb] = c[nb, x - m] - v[x - m]
-                    stack.append(nb)
-        if edges // 2 >= nodes:
-            raise SupportCycleError("support contains a cycle")
-        ncomp += 1
-
+    parent, children, _, pslot, tree = _rooted_forest(plan.flows, m, n)
+    arcs = np.array([i * n + j for i, j, _ in plan.flows])  # support, by slot
+    w = np.array(_tree_potentials(parent, children, pslot, c.take(arcs), m))
+    comp = np.array(tree)
     abs_tol = TIE_TOL * inst.costs.max_abs
-    comp_s = np.array(comp[:m])
-    comp_t = np.array(comp[m:])
-    red = (c - u[:, None]) - v[None, :]
+    red = (c - w[:m, None]) + w[None, m:]
 
-    # shift component k's potentials by delta_k: constraints
+    # shift tree k's potentials by delta_k: constraints
     # delta_a - delta_b <= min reduced cost over (i in a, j in b)
-    w = np.full((ncomp, ncomp), np.inf)
-    np.minimum.at(w, (comp_s[:, None], comp_t[None, :]), red)
-    delta = _solve_difference_constraints(w, abs_tol)
+    ntree = parent.count(-1)
+    bound = np.full((ntree, ntree), np.inf)
+    np.minimum.at(bound, (comp[:m, None], comp[None, m:]), red)
+    delta = _solve_difference_constraints(bound, abs_tol)
     if delta is None:
         return None
-    u = u + delta[comp_s]
-    v = v - delta[comp_t]
-    red = (c - u[:, None]) - v[None, :]
-    if np.min(red) < -abs_tol:
+    w += delta[comp]
+    red = (c - w[:m, None]) + w[None, m:]
+    # once no reduced cost is below -abs_tol, the support is tight unless
+    # one of its reduced costs is above abs_tol
+    if red.min() < -abs_tol or red.take(arcs).max() > abs_tol:
         return None
-    for i, j, _ in plan.flows:
-        if abs(red[i, j]) > abs_tol:
-            return None
-    return DualCertificate(u=u, v=v)
+    return DualCertificate(u=w[:m], v=0.0 - w[m:])  # 0.0 - w: v holds no -0.0
 
 
 def _solve_difference_constraints(w, abs_tol):

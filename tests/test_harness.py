@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from otrigid import (
     CostMatrix,
     ExperimentSpec,
     Instance,
+    PermutationDecomposition,
     TransportPlan,
     birkhoff_decompose,
     cost_from_points,
@@ -143,6 +145,42 @@ def test_decomposition_json_roundtrip():
     assert all(set(t) == {"perm", "num", "den"} for t in data["terms"])
     back = decomposition_from_dict(data)
     assert back.terms == dec.terms
+
+
+@pytest.mark.parametrize("data,match", [
+    ({"terms": []}, "non-empty list terms"),
+    ({}, "non-empty list terms"),
+    ([], "non-empty list terms"),
+    ({"terms": {"perm": [0]}}, "non-empty list terms"),
+    ({"terms": [[0, 1]]}, "keys perm, num and den"),
+    ({"terms": [{"perm": [0], "num": 1}]}, "keys perm, num and den"),
+    ({"terms": [{"perm": [0, 1], "num": 1, "den": 0}]}, "den != 0"),
+    ({"terms": [{"perm": "01", "num": 1, "den": 1}]}, "perm must be a list"),
+    ({"terms": [{"perm": [0, 1], "num": 0.5, "den": 1}]}, "ints"),
+    ({"terms": [{"perm": [], "num": 1, "den": 1}]}, "int >= 1"),
+    ({"terms": [{"perm": [0, 5], "num": 1, "den": 1}]}, "not a permutation"),
+    ({"terms": [{"perm": [0, 0], "num": 1, "den": 1}]}, "not a permutation"),
+    ({"terms": [{"perm": [0.0, 1], "num": 1, "den": 1}]}, "not a permutation"),
+    ({"terms": [{"perm": [0, 1], "num": 1, "den": 1},
+                {"perm": [1], "num": 0, "den": 1}]}, "not a permutation"),
+    ({"terms": [{"perm": [0, 1], "num": 3, "den": 2},
+                {"perm": [1, 0], "num": -1, "den": 2}]}, "positive Fraction"),
+    ({"terms": [{"perm": [0, 1], "num": 1, "den": 2}]}, "sum to exactly 1"),
+])
+def test_decomposition_from_dict_rejects_malformed(data, match):
+    # every malformed decomposition is a ValueError naming the problem, and
+    # none builds: a bad perm used to build and fail only in recombine
+    with pytest.raises(ValueError, match=match):
+        decomposition_from_dict(data)
+
+
+def test_decomposition_rejects_non_permutations():
+    for n, terms in ((0, ()), (2.0, (((0, 1), Fraction(1)),)), (2, (((0, 1), 1),)),
+                     (2, (((0, 1), Fraction(1, 2)), ((0, 0), Fraction(1, 2))))):
+        with pytest.raises(ValueError):
+            PermutationDecomposition(n=n, terms=terms)
+    dec = PermutationDecomposition(2, (((0, 1), Fraction(1, 2)), ((1, 0), Fraction(1, 2))))
+    assert (dec.recombine().sum(axis=0) == 1).all()
 
 
 def test_svg_1x1():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import time
 
@@ -15,6 +16,7 @@ from otrigid import (
     TransportPlan,
     brute_force_solve,
     cost_from_points,
+    enumerate_plans,
     find_crossings,
     gen_random_costs,
     genericity_check,
@@ -268,10 +270,25 @@ def test_verify_certificate_1x1():
     assert cert.u[0] + cert.v[0] == pytest.approx(2.5)
 
 
+def _assert_certifies(inst, plan, cert):
+    # the definition: u_i + v_j <= c_ij everywhere, equality on the support,
+    # both within the tie tolerance TIE_TOL * max|c|
+    c = inst.costs.c
+    tol = TIE_TOL * inst.costs.max_abs
+    assert cert.u.shape == (inst.m,) and cert.v.shape == (inst.n,)
+    assert (np.add.outer(cert.u, cert.v) <= c + tol).all()
+    for i, j, _ in plan.flows:
+        assert abs(c[i, j] - cert.u[i] - cert.v[j]) <= tol
+
+
 def test_verify_disconnected_support():
     # optimal permutation whose support splits into n components
     inst = gen_random_costs(8, 8, 17)
-    assert verify_optimality(inst, solve(inst)) is not None
+    plan = solve(inst)
+    assert plan.support_size == 8  # eight one-arc trees
+    cert = verify_optimality(inst, plan)
+    assert cert is not None
+    _assert_certifies(inst, plan, cert)
 
 
 def test_verify_raises_on_cyclic_support():
@@ -279,6 +296,38 @@ def test_verify_raises_on_cyclic_support():
     cyclic = TransportPlan(2, 2, 4, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
     with pytest.raises(SupportCycleError):
         verify_optimality(inst, cyclic)
+    # the first tree {s0, t0} is a tree; the cycle s1 t1 s2 t2 is in the second
+    second = TransportPlan(4, 4, 8, ((0, 0, 2), (1, 1, 1), (1, 2, 1), (2, 1, 1),
+                                     (2, 2, 1), (3, 3, 2)))
+    with pytest.raises(SupportCycleError):
+        verify_optimality(gen_random_costs(4, 4, 0), second)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "0-1-2", "zeros"])
+def test_verify_matches_definition_on_every_plan(kind):
+    # every integral plan of every shape up to 4x4, three random cost draws
+    # each: a cyclic support raises, a forest is certified exactly when the
+    # oracle calls it optimal, and every certificate meets the definition
+    rng = np.random.default_rng(3)
+    draws = range(1 if kind == "zeros" else 3)
+    for m, n, _ in itertools.product(range(1, 5), range(1, 5), draws):
+        if kind == "uniform":
+            c = rng.random((m, n))
+        elif kind == "0-1-2":
+            c = rng.integers(0, 3, (m, n)).astype(float)
+        else:
+            c = np.zeros((m, n))
+        inst = Instance(CostMatrix(c))
+        optimal = {p.flows for p in brute_force_solve(inst).optimal_plans}
+        for plan in enumerate_plans(inst):
+            if not _is_forest(m, n, [(i, j) for i, j, _ in plan.flows]):
+                with pytest.raises(SupportCycleError):
+                    verify_optimality(inst, plan)
+                continue
+            cert = verify_optimality(inst, plan)
+            assert (cert is not None) == (plan.flows in optimal)
+            if cert is not None:
+                _assert_certifies(inst, plan, cert)
 
 
 def test_find_crossings_full_2x2():
@@ -540,6 +589,14 @@ def test_plan_validate_rejects_bad_marginals():
         ((3, 2, 4, ((0, 0, 2), (1, 1, 2))), "divisible"),
         ((2, 3, 6, ((0, 0, 3), (1, 1, 3))), "target not exactly filled"),
         ((2, 2, 4, ((0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 1))), "source not exactly depleted"),
+        # only ints: a float flow or scale used to build and break the CSV emitter
+        ((1, 1, 1, ((0, 0, 1.0),)), "must be three ints"),
+        ((1, 1, 1, ((0.0, 0, 1),)), "must be three ints"),
+        ((1, 1, 1, ((0, True, 1),)), "must be three ints"),
+        ((1, 1, 1, ((0, 0, np.int64(1)),)), "must be three ints"),
+        ((1, 1, 2.0, ((0, 0, 2),)), "must be ints"),
+        ((1.0, 1, 1, ((0, 0, 1),)), "must be ints"),
+        ((1, np.int64(1), 1, ((0, 0, 1),)), "must be ints"),
     ):
         with pytest.raises(ValueError, match=match):
             TransportPlan(*args)
