@@ -4,6 +4,11 @@ An instance is a dense m x n cost matrix with equal-weight marginals 1/m on
 sources and 1/n on targets.  All masses are tracked at the integer scale
 S = lcm(m, n), which makes every vertex of the transportation polytope
 integral.
+
+Instances are read-only copies: ``CostMatrix`` and ``PointCloud`` copy their
+input arrays and mark the copies non-writeable, so the costs a plan is
+certified on are the costs it was solved on.  ``m``, ``n``, ``scale`` and
+``max_abs`` are plain attributes, computed once at construction.
 """
 from __future__ import annotations
 
@@ -43,11 +48,12 @@ class PointCloud:
     label: str  # "source" | "target"
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("point cloud must be a non-empty (k, d) array with d >= 1")
         if self.label not in ("source", "target"):
             raise ValueError(f"label must be 'source' or 'target', got {self.label!r}")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
@@ -60,31 +66,27 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense m x n matrix of finite transport costs with |c_ij| <= MAX_ABS_COST."""
+    """Dense m x n matrix of finite transport costs with |c_ij| <= MAX_ABS_COST.
+
+    Also holds ``m``, ``n`` and ``max_abs`` = max|c_ij|; they are not fields.
+    """
 
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+        c = np.array(self.c, dtype=float)
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise ValueError("cost matrix must be 2-dimensional and non-empty")
         if not np.all(np.isfinite(c)):
             raise ValueError("cost matrix entries must all be finite")
-        if np.max(np.abs(c)) > MAX_ABS_COST:
+        max_abs = float(np.max(np.abs(c)))
+        if max_abs > MAX_ABS_COST:
             raise ValueError("cost matrix entries must satisfy |c_ij| <= 2**996")
+        c.flags.writeable = False
         object.__setattr__(self, "c", c)
-
-    @property
-    def m(self):
-        return self.c.shape[0]
-
-    @property
-    def n(self):
-        return self.c.shape[1]
-
-    @property
-    def max_abs(self):
-        return float(np.max(np.abs(self.c)))
+        object.__setattr__(self, "m", c.shape[0])
+        object.__setattr__(self, "n", c.shape[1])
+        object.__setattr__(self, "max_abs", max_abs)
 
 
 @dataclass(frozen=True)
@@ -98,33 +100,28 @@ class Geometry:
 
 @dataclass(frozen=True)
 class Instance:
-    """Costs plus optional geometry; scale S = lcm(m, n) makes marginals integral."""
+    """Costs plus optional geometry.
+
+    Also holds ``m``, ``n`` and ``scale`` = S = lcm(m, n), at which S/m and S/n
+    are the integral source and target masses; they are not fields.
+    """
 
     costs: CostMatrix
     geometry: Optional[Geometry] = None
 
     def __post_init__(self):
+        m, n = self.costs.m, self.costs.n
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "scale", math.lcm(m, n))
         if self.geometry is not None:
             g = self.geometry
-            if len(g.sources) != self.m or len(g.targets) != self.n:
+            if len(g.sources) != m or len(g.targets) != n:
                 raise ValueError("geometry size does not match cost matrix")
             expected = _power_distance_matrix(g.sources.points, g.targets.points, g.p)
             atol = TIE_TOL * self.costs.max_abs
             if not np.allclose(self.costs.c, expected, rtol=0.0, atol=atol):
                 raise ValueError("costs are inconsistent with geometry")
-
-    @property
-    def m(self):
-        return self.costs.m
-
-    @property
-    def n(self):
-        return self.costs.n
-
-    @property
-    def scale(self):
-        """S = lcm(m, n); S/m and S/n are the integral source/target masses."""
-        return math.lcm(self.m, self.n)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .analysis import rigidity_report
 from .constructions import PermutationDecomposition
 from .instance import CostMatrix, Geometry, Instance, PointCloud
@@ -32,7 +30,7 @@ def instance_to_dict(inst: Instance) -> dict:
 def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict) or not {"m", "n", "costs"} <= data.keys():
         raise ValueError("instance JSON must be an object with keys m, n and costs")
-    costs = CostMatrix(np.array(data["costs"], dtype=float))
+    costs = CostMatrix(data["costs"])
     if costs.m != data["m"] or costs.n != data["n"]:
         raise ValueError("declared m, n do not match the cost matrix shape")
     geometry = None
@@ -42,8 +40,8 @@ def instance_from_dict(data: dict) -> Instance:
             raise ValueError("instance geometry must be an object with keys "
                              "sources, targets and p")
         geometry = Geometry(
-            PointCloud(np.array(g["sources"], dtype=float), "source"),
-            PointCloud(np.array(g["targets"], dtype=float), "target"),
+            PointCloud(g["sources"], "source"),
+            PointCloud(g["targets"], "target"),
             float(g["p"]),
         )
     return Instance(costs, geometry)

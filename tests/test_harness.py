@@ -221,6 +221,22 @@ def test_svg_digest():
     assert h.hexdigest() == SVG_DIGEST
 
 
+# sha256 over the files run_experiment writes for fig1 ell=10 s0-9 (plan CSVs,
+# stats JSON, SVGs and summary.json), each as name, NUL, bytes, in name order;
+# the emitted bytes must not change
+EXPERIMENT_DIGEST = "350b1eb0697662626002c64ce4418bcbd6c712cde34dbefcfdec84ea2c97372c"
+
+
+def test_experiment_output_digest(tmp_path):
+    run_experiment(ExperimentSpec("fig1", out_dir=str(tmp_path), ell=10))
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 31
+    h = hashlib.sha256()
+    for path in files:
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == EXPERIMENT_DIGEST
+
+
 def test_svg_requires_2d_geometry():
     inst = gen_random_costs(2, 2, 0)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -13,8 +14,10 @@ from otrigid import (
     gen_random_costs,
     genericity_check,
     perturb,
+    solve,
 )
 from otrigid.instance import MAX_ABS_COST, VIOLATION_LIST_LIMIT
+from otrigid.io import instance_from_dict, instance_to_dict
 
 
 def test_gen_points_uniform_range():
@@ -273,3 +276,59 @@ def test_cost_matrix_rejects_magnitudes_that_overflow():
     # below the bound, a tie at 1e150 is still seen exactly
     tie = Instance(CostMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]) * 1e150))
     assert not genericity_check(tie).generic
+
+
+def test_instances_are_read_only_copies():
+    a = np.array([[1.0, 2.0, 4.0], [3.0, 1.5, 2.5]])
+    inst = Instance(CostMatrix(a))
+    plan = solve(inst)
+    # validation ran at construction; a later write to the caller's array
+    # must not reach the costs the solver reads
+    a[0, 0] = np.nan
+    assert inst.costs.c[0, 0] == 1.0
+    assert solve(inst) == plan
+    with pytest.raises(ValueError):
+        inst.costs.c[0, 0] = 0.0
+
+    xs = np.array([[0.0, 0.0], [1.0, 0.0]])
+    ys = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+    geo = cost_from_points(PointCloud(xs, "source"), PointCloud(ys, "target"), 2.0)
+    xs[0, 0] = 5.0
+    ys[:] = 0.0
+    assert geo.geometry.sources.points[0, 0] == 0.0
+    assert geo.geometry.targets.points[2, 0] == 2.0
+    for cloud in (geo.geometry.sources, geo.geometry.targets, gen_points("gaussian", 3, 2, 0)):
+        with pytest.raises(ValueError):
+            cloud.points[0, 0] = 1.0
+
+
+def _assert_derived(inst):
+    c = inst.costs.c
+    assert (inst.m, inst.n) == (inst.costs.m, inst.costs.n) == c.shape
+    assert inst.scale == math.lcm(inst.m, inst.n)
+    assert inst.costs.max_abs == float(np.max(np.abs(c)))
+
+
+@pytest.mark.parametrize("c", [
+    np.zeros((3, 4)),
+    np.array([[MAX_ABS_COST, -MAX_ABS_COST], [0.5, -MAX_ABS_COST]]),
+    np.array([[-2.5]]),
+    np.random.default_rng(5).standard_normal((6, 4)),  # m > n
+], ids=["zeros", "bound", "1x1", "m>n"])
+def test_derived_attributes_match_definitions(c):
+    inst = Instance(CostMatrix(c))
+    _assert_derived(inst)
+    _assert_derived(perturb(inst, 1e-9, 0))
+    _assert_derived(instance_from_dict(instance_to_dict(inst)))
+    wider = np.hstack([c, c[:, :1] / 2])
+    _assert_derived(dataclasses.replace(inst, costs=CostMatrix(wider)))
+    _assert_derived(Instance(dataclasses.replace(inst.costs, c=c.T)))
+    m, n = c.shape
+    x = gen_points("gaussian", m, 2, 1)
+    y = gen_points("gaussian", n, 2, 2)
+    _assert_derived(cost_from_points(x, y, 1.0))
+    _assert_derived(instance_from_dict(instance_to_dict(cost_from_points(x, y, 2.0))))
+    # the derived values are attributes, not fields: constructors, repr, eq
+    # and replace see only the inputs
+    assert [f.name for f in dataclasses.fields(CostMatrix)] == ["c"]
+    assert [f.name for f in dataclasses.fields(Instance)] == ["costs", "geometry"]

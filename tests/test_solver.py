@@ -28,7 +28,12 @@ from otrigid import (
 )
 from otrigid.instance import TIE_TOL
 from otrigid.io import plan_csv_lines
-from otrigid.solver import _least_cost_basis, _perturbed_marginals, scaled_objective
+from otrigid.solver import (
+    _least_cost_basis,
+    _perturbed_marginals,
+    _solve_difference_constraints,
+    scaled_objective,
+)
 from otrigid.svg import svg_document
 
 # hand-verified 2x3 fixture: unique optimum has scaled cost 2 (objective 1/3)
@@ -268,6 +273,13 @@ def test_verify_certificate_1x1():
     cert = verify_optimality(inst, solve(inst))
     assert cert is not None
     assert cert.u[0] + cert.v[0] == pytest.approx(2.5)
+
+
+def test_difference_constraints_on_one_tree():
+    # a 1x1 system needs no shift unless its one diagonal entry is negative
+    delta = _solve_difference_constraints(np.zeros((1, 1)), TIE_TOL)
+    assert delta.shape == (1,) and delta[0] == 0.0
+    assert _solve_difference_constraints(np.array([[-1.0]]), TIE_TOL) is None
 
 
 def _assert_certifies(inst, plan, cert):
