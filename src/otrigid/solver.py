@@ -499,8 +499,6 @@ def _solve_difference_constraints(w, abs_tol):
     diag = np.diagonal(w)
     if np.any(diag < -abs_tol):
         return None  # reduced cost negative inside a component
-    if k == 1:
-        return np.zeros(1)  # one tree: nothing to shift against
     w = w.copy()
     np.fill_diagonal(w, np.maximum(diag, 0.0))
     delta = np.zeros(k)
