@@ -47,21 +47,39 @@ class PermutationDecomposition:
 
 
 def _perfect_matching(support_by_row, n):
-    """Kuhn's augmenting-path matching on the support; deterministic scan order."""
+    """Kuhn's augmenting-path matching on the support; deterministic scan order.
+
+    Each row's augmenting-path search is a depth-first search kept on an
+    explicit stack, so a path as long as n needs no recursion; it scans the
+    rows' columns in the order a recursive search would.
+    """
     match_col = [-1] * n  # column -> row
-
-    def try_row(row, visited):
-        for col in support_by_row[row]:
-            if visited[col]:
+    for root in range(n):
+        first = support_by_row[root][0]
+        if match_col[first] < 0:  # the search would take it at once
+            match_col[first] = root
+            continue
+        visited = [False] * n
+        stack = [(root, iter(support_by_row[root]))]
+        taken = []  # taken[k]: the column stack[k]'s row is trying
+        while stack:
+            row, cols = stack[-1]
+            for col in cols:
+                if not visited[col]:
+                    visited[col] = True
+                    break
+            else:  # no column left for this row: its parent tries its next one
+                stack.pop()
+                if taken:
+                    taken.pop()
                 continue
-            visited[col] = True
-            if match_col[col] < 0 or try_row(match_col[col], visited):
-                match_col[col] = row
-                return True
-        return False
-
-    for row in range(n):
-        if not try_row(row, [False] * n):
+            taken.append(col)
+            if match_col[col] < 0:  # free column: flip the path
+                for (r, _), c in zip(stack, taken):
+                    match_col[c] = r
+                break
+            stack.append((match_col[col], iter(support_by_row[match_col[col]])))
+        else:
             return None
     sigma = [-1] * n
     for col, row in enumerate(match_col):

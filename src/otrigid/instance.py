@@ -8,7 +8,9 @@ integral.
 Instances are read-only copies: ``CostMatrix`` and ``PointCloud`` copy their
 input arrays and mark the copies non-writeable, so the costs a plan is
 certified on are the costs it was solved on.  ``m``, ``n``, ``scale`` and
-``max_abs`` are plain attributes, computed once at construction.
+``max_abs`` are plain attributes, computed once at construction.  Deep
+copies and pickles rebuild both through their constructors, so they are
+read-only too, and ``==`` compares the arrays by value.
 """
 from __future__ import annotations
 
@@ -56,6 +58,16 @@ class PointCloud:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, which copies
+        # the points read-only again
+        return PointCloud, (self.points, self.label)
+
+    def __eq__(self, other):
+        if type(other) is not PointCloud:
+            return NotImplemented
+        return self.label == other.label and np.array_equal(self.points, other.points)
+
     def __len__(self):
         return self.points.shape[0]
 
@@ -87,6 +99,16 @@ class CostMatrix:
         object.__setattr__(self, "m", c.shape[0])
         object.__setattr__(self, "n", c.shape[1])
         object.__setattr__(self, "max_abs", max_abs)
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, which copies
+        # the costs read-only again and recomputes m, n and max_abs
+        return CostMatrix, (self.c,)
+
+    def __eq__(self, other):
+        if type(other) is not CostMatrix:
+            return NotImplemented
+        return np.array_equal(self.c, other.c)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Ground truth for the solver and for claims quantified over every optimal
 plan.  Enumeration is row-by-row backtracking over integer matrices with
-fixed margins (row sums S/m, column sums S/n), pruned by remaining column
-capacity.
+fixed margins (row sums S/m, column sums S/n) that generates only live row
+fills: no partial table is built that cannot be completed.
 """
 from __future__ import annotations
 
@@ -26,22 +26,35 @@ class OracleResult:
     enumerated_count: int
 
 
-def _row_fills(row_sum, caps, j=0, prefix=()):
-    """All ways to split row_sum over columns j.. within per-column caps."""
-    if j == len(caps) - 1:
-        if row_sum <= caps[j]:
-            yield prefix + (row_sum,)
-        return
-    tail_cap = sum(caps[j + 1 :])
-    lo = max(0, row_sum - tail_cap)
-    hi = min(caps[j], row_sum)
-    for q in range(lo, hi + 1):
-        yield from _row_fills(row_sum - q, caps, j + 1, prefix + (q,))
+def _row_fills(row_sum, lo, hi):
+    """Every row with lo[j] <= q_j <= hi[j] and sum q_j = row_sum, in
+    lexicographic order, with no dead prefix.
+
+    Built column by column: a prefix is extended only by values that leave
+    the remaining sum within the bounds of the columns still to fill.
+    """
+    prefixes = [((), row_sum)]  # (prefix, row_sum left for its tail)
+    lo_tail, hi_tail = sum(lo), sum(hi)
+    for lo_j, hi_j in zip(lo, hi):
+        lo_tail -= lo_j
+        hi_tail -= hi_j
+        prefixes = [
+            (prefix + (q,), left - q)
+            for prefix, left in prefixes
+            for q in range(max(lo_j, left - hi_tail), min(hi_j, left - lo_tail) + 1)
+        ]
+    return [prefix for prefix, _ in prefixes]
 
 
 def _tables(inst: Instance, cap: int):
     """Yield every integer matrix with row sums S/m and column sums S/n once,
-    as a tuple of row tuples.
+    as a tuple of row tuples, in lexicographic order of the rows.
+
+    Only live row fills are generated.  With r rows after row i, column j
+    still needing rem_j units takes at least max(0, rem_j - r * S/m) and at
+    most min(rem_j, S/m) in row i, so every fill extends to a table and the
+    last row is forced to equal the remaining column needs.  The fills of one
+    (row index, remaining columns) are built once per call.
 
     Raises OracleCapExceeded when more than ``cap`` matrices exist.
     """
@@ -49,23 +62,36 @@ def _tables(inst: Instance, cap: int):
         raise ValueError("cap must be positive")
     m = inst.m
     row_sum = inst.scale // m
+    fills = {}  # (i, rem_cols) -> [(row, rem_cols after the row), ...]
     count = 0
 
     def recurse(i, rem_cols, rows):
         nonlocal count
-        if i == m:
+        if i == m - 1:
             count += 1
             if count > cap:
                 raise OracleCapExceeded(f"more than {cap} integral plans")
-            yield rows
+            yield rows + (rem_cols,)
             return
-        for row in _row_fills(row_sum, rem_cols):
-            new_rem = tuple(r - q for r, q in zip(rem_cols, row))
-            # a column demanding more than the remaining rows can supply is dead
-            if max(new_rem) <= (m - i - 1) * row_sum:
-                yield from recurse(i + 1, new_rem, rows + (row,))
+        key = (i, rem_cols)
+        live = fills.get(key)
+        if live is None:
+            later = (m - i - 1) * row_sum  # most the rows after row i can take
+            lo = [max(0, r - later) for r in rem_cols]
+            hi = [min(r, row_sum) for r in rem_cols]
+            live = fills[key] = [
+                (row, tuple(r - q for r, q in zip(rem_cols, row)))
+                for row in _row_fills(row_sum, lo, hi)
+            ]
+        for row, rest in live:
+            yield from recurse(i + 1, rest, rows + (row,))
 
-    yield from recurse(0, (inst.scale // inst.n,) * inst.n, ())
+    try:
+        yield from recurse(0, (inst.scale // inst.n,) * inst.n, ())
+    finally:
+        # recurse refers to itself, so this frame waits for the cyclic
+        # collector; drop the memo now rather than let memos pile up
+        fills.clear()
 
 
 def _table_plan(inst: Instance, rows) -> TransportPlan:

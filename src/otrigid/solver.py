@@ -577,41 +577,59 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     one ordered pass over the pairs, pushing on each until it shares fewer
     than two targets, makes exactly the pushes of a rescan after every push.
     Within a pair, a push on (j, j2) drops j, j2 or both from the common
-    targets and leaves the rest, so the pair's sorted common targets are
-    taken once and walked with a two-slot window: the surviving slot and the
-    next entry are the next (j, j2).  Raises ValueError when the shapes
-    differ.
+    targets and leaves the rest, so the pair's common targets are taken once
+    and walked in ascending order with a two-slot window: the surviving slot
+    and the next entry are the next (j, j2).
+
+    Each source keeps its support as an int bitset over targets and its flows
+    in a list row (a list indexes faster than a dict on the measured inputs),
+    so a pair's common targets are one ``&``, "fewer than two" is one
+    ``x & (x - 1)``, and the walk takes the lowest set bit each step.  The
+    output support is a subset of the input one, so it is read off the input
+    flows in their order; with nothing pushed the input plan is returned.
+    Raises ValueError when the shapes differ.
     """
     check_shape(inst, plan)
     c = inst.costs.c
     tie_tol = TIE_TOL * inst.costs.max_abs
-    rows = [{} for _ in range(plan.m)]  # rows[i] = {j: f_ij}, f_ij >= 1
+    m = plan.m
+    rows = [[0] * plan.n for _ in range(m)]  # rows[i][j] = f_ij
+    masks = [0] * m  # bit j of masks[i] is set iff f_ij > 0
     for i, j, f in plan.flows:
         rows[i][j] = f
+        masks[i] |= 1 << j
     # cost rows as lists, read only for sources that push: a crossing-free
     # plan on a wide matrix then converts no costs at all
-    crow = [None] * plan.m
+    crow = [None] * m
 
     for i, ri in enumerate(rows):
-        for i2 in range(i + 1, plan.m):
-            if len(ri) < 2:
+        for i2 in range(i + 1, m):
+            mi = masks[i]
+            if not mi & (mi - 1):
                 break
-            r2 = rows[i2]
-            common = sorted(ri.keys() & r2.keys())
-            if len(common) < 2:
+            common = mi & masks[i2]
+            if not common & (common - 1):
                 continue
-            for k in (i, i2):
-                if crow[k] is None:
-                    crow[k] = c[k].tolist()
-            ci, c2 = crow[i], crow[i2]
-            j = common[0]  # the window's first slot
-            for j2 in common[1:]:
-                if j is None:
+            ci = crow[i]
+            if ci is None:
+                ci = crow[i] = c[i].tolist()
+            c2 = crow[i2]
+            if c2 is None:
+                c2 = crow[i2] = c[i2].tolist()
+            r2 = rows[i2]
+            low = common & -common
+            j = low.bit_length() - 1  # the window's first slot; -1 when empty
+            common ^= low
+            while common:
+                low = common & -common
+                common ^= low
+                j2 = low.bit_length() - 1
+                if j < 0:
                     j = j2
                     continue
                 # pushing eps onto the (i,j),(i2,j2) diagonal changes cost by eps*gain
                 gain = (ci[j] + c2[j2]) - (ci[j2] + c2[j])
-                if abs(gain) <= tie_tol:
+                if -tie_tol <= gain <= tie_tol:
                     # tie: zero the lexicographically smallest entry.  The
                     # -diagonal push zeroes (i, j), the smallest of all four,
                     # unless f_i2j2 < f_ij makes it zero (i2, j2), the
@@ -620,23 +638,29 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
                 else:
                     push_diag = gain < 0
                 # lower (i, a) and (i2, b), raise (i, b) and (i2, a)
-                a, b = (j2, j) if push_diag else (j, j2)
-                eps = min(ri[a], r2[b])
+                if push_diag:
+                    a, b = j2, j
+                else:
+                    a, b = j, j2
+                fa, fb = ri[a], r2[b]
+                eps = fa if fa < fb else fb
                 ri[b] += eps
                 r2[a] += eps
-                ri[a] -= eps
-                r2[b] -= eps
+                ri[a] = fa - eps
+                r2[b] = fb - eps
                 # at least one lowered arc hits zero; a target whose lowered
                 # arc stays positive is still common, and fills the first slot
-                j = None
-                if ri[a]:
+                j = -1
+                if fa > eps:
                     j = a
                 else:
-                    del ri[a]
-                if r2[b]:
+                    masks[i] ^= 1 << a
+                if fb > eps:
                     j = b
                 else:
-                    del r2[b]
+                    masks[i2] ^= 1 << b
 
-    support = tuple((i, j, f) for i, row in enumerate(rows) for j, f in row.items())
+    support = tuple((i, j, f) for i, j, _ in plan.flows if (f := rows[i][j]))
+    if len(support) == len(plan.flows):
+        return plan
     return TransportPlan(plan.m, plan.n, plan.scale, support)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from otrigid import (
     rigidity_report,
     solve,
 )
+from otrigid.io import decomposition_to_dict
 
 
 def _mass_matrix(plan):
@@ -76,6 +79,37 @@ def test_birkhoff_term_count_bound():
         plan = _random_square_plan(8, 5, seed)
         dec = birkhoff_decompose(plan)
         assert len(dec.terms) <= plan.support_size - plan.n + 1
+
+
+# sha256 over the decomposition JSON (sorted keys, one line each) of
+# birkhoff_decompose(solve(gen_random_costs(n, n, s))) for n = 2..13 and
+# s = 0..2, recorded from the recursive matching that the explicit-stack one
+# replaced.  The matching must find the very same permutations.
+BIRKHOFF_DIGEST = "1dd32dfc9d80650e5a1eb9e8619a381f6edb5231a8c6ee63038d36ac6f45e9bd"
+
+
+def test_birkhoff_output_digest():
+    h = hashlib.sha256()
+    for n in range(2, 14):
+        for s in range(3):
+            dec = birkhoff_decompose(solve(gen_random_costs(n, n, s)))
+            h.update((json.dumps(decomposition_to_dict(dec), sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == BIRKHOFF_DIGEST
+
+
+def test_birkhoff_long_augmenting_path():
+    # identity plus cyclic shift: the last row's augmenting path runs through
+    # every other row, 1500 steps, which overflowed a recursive matching
+    n = 1500
+    plan = TransportPlan(n, n, 2 * n, tuple(
+        (i, j, 1) for i in range(n) for j in sorted({i, (i + 1) % n})))
+    dec = birkhoff_decompose(plan)
+    assert len(dec.terms) == 2
+    assert all(w == Fraction(1, 2) for _, w in dec.terms)
+    # every plan arc gets 1/2; those 2n halves already carry the whole mass
+    # n of the recombination, so every other entry is zero
+    dense = dec.recombine()
+    assert all(dense[i, j] == Fraction(f, 2) for i, j, f in plan.flows)
 
 
 def test_gcd_construct_square_is_permutation():

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import time
 
 import numpy as np
@@ -10,6 +12,7 @@ from otrigid import (
     Instance,
     PointCloud,
     cost_from_points,
+    gen_point_instance,
     gen_points,
     gen_random_costs,
     genericity_check,
@@ -300,6 +303,29 @@ def test_instances_are_read_only_copies():
     for cloud in (geo.geometry.sources, geo.geometry.targets, gen_points("gaussian", 3, 2, 0)):
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("inst", [
+    gen_point_instance("uniform-square", 2, 3, 2.0, 0),
+    gen_random_costs(3, 4, 1),
+], ids=["points", "costs"])
+def test_copies_and_pickles_are_read_only(inst):
+    # deep copies and pickles skip __post_init__ unless they rebuild through
+    # the constructors; they used to hand back writeable arrays
+    plan = solve(inst)
+    for dup in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert dup == inst
+        assert (dup.m, dup.n, dup.scale) == (inst.m, inst.n, inst.scale)
+        assert dup.costs.max_abs == inst.costs.max_abs
+        arrays = [dup.costs.c]
+        if inst.geometry is not None:
+            arrays += [dup.geometry.sources.points, dup.geometry.targets.points]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        assert solve(dup) == plan
+    assert perturb(inst, 1e-9, 0) != inst  # == compares values
 
 
 def _assert_derived(inst):

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,8 @@ from otrigid import (
     solve,
 )
 from otrigid.instance import TIE_TOL
+from otrigid.io import plan_csv_lines
+from otrigid.oracle import DEFAULT_CAP, _tables
 from otrigid.solver import scaled_objective
 
 C23 = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
@@ -78,6 +84,53 @@ def test_brute_force_matches_plan_enumeration():
     for c in _oracle_cost_cases():
         inst = Instance(CostMatrix(c))
         assert brute_force_solve(inst) == _brute_force_from_plans(inst)
+
+
+def _tables_by_definition(m, n):
+    """Every table in lexicographic order of its rows: itertools.product over
+    each row's compositions of S/m, kept when its column sums are S/n."""
+    S = math.lcm(m, n)
+    compositions = [q for q in itertools.product(range(S // m + 1), repeat=n) if sum(q) == S // m]
+    # a row packed in base S + 1, one digit per column: no column sum
+    # exceeds S, so the packed rows of a table add up column by column
+    packed = {q: sum(x * (S + 1) ** j for j, x in enumerate(q)) for q in compositions}
+    want = sum(S // n * (S + 1) ** j for j in range(n))
+    return [rows for rows in itertools.product(compositions, repeat=m)
+            if sum(map(packed.__getitem__, rows)) == want]
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 6) if m * n <= 16])
+def test_tables_match_definition(m, n):
+    inst = Instance(CostMatrix(np.zeros((m, n))))
+    want = _tables_by_definition(m, n)
+    assert list(_tables(inst, DEFAULT_CAP)) == want
+    # the cap counts tables: exactly len(want) pass, one fewer raises after
+    # yielding the first len(want) - 1
+    assert list(_tables(inst, len(want))) == want
+    if len(want) > 1:
+        got = []
+        with pytest.raises(OracleCapExceeded):
+            got.extend(_tables(inst, len(want) - 1))
+        assert got == want[:-1]
+
+
+# sha256 over brute_force_solve's min_cost repr, enumerated_count and the
+# plan CSV lines of its optimal plans, for _oracle_cost_cases then 3x4 and
+# 4x3 random costs with seeds 0-2, recorded from the table generator that
+# built every capped row fill and pruned dead ones afterwards.
+ORACLE_DIGEST = "a89a8f2b8a9644d8af829c467a62da8eead96e2fd7e3caa641f4e63c45ff0fdd"
+
+
+def test_brute_force_output_digest():
+    h = hashlib.sha256()
+    insts = [Instance(CostMatrix(c)) for c in _oracle_cost_cases()]
+    insts += [gen_random_costs(m, n, s) for m, n in ((3, 4), (4, 3)) for s in range(3)]
+    for inst in insts:
+        res = brute_force_solve(inst)
+        h.update(f"{res.min_cost!r}\n{res.enumerated_count}\n".encode())
+        for plan in res.optimal_plans:
+            h.update(("\n".join(plan_csv_lines(plan)) + "\n").encode())
+    assert h.hexdigest() == ORACLE_DIGEST
 
 
 def test_enumerate_cap_exceeded():

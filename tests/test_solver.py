@@ -581,6 +581,42 @@ def test_uncross_matches_definition(case):
     assert uncross(inst, plan) == _uncross_by_definition(inst, plan)
 
 
+def _wide_uncross_cases():
+    """(id, inst, plan) with targets past one 30-bit int digit, where a
+    source's target bitset spans several digits: product couplings and
+    layered sparse plans with n in {31, 64, 65, 130}, plus m = 1 and n = 1."""
+    rng = np.random.default_rng(20261019)
+
+    def costs(kind, m, n):
+        if kind == "continuous":
+            return rng.random((m, n))
+        if kind == "small":
+            return rng.integers(0, 3, (m, n)).astype(float)
+        return (rng.integers(0, 5, m)[:, None] + rng.integers(0, 5, n)[None, :]).astype(float)
+
+    for m, n, kind in [(2, 31, "continuous"), (2, 64, "continuous"), (2, 65, "small"),
+                       (2, 130, "continuous"), (3, 64, "additive"), (3, 65, "continuous"),
+                       (1, 130, "continuous"), (130, 1, "continuous")]:
+        product = TransportPlan(m, n, m * n, tuple((i, j, 1) for i in range(m) for j in range(n)))
+        yield f"product-{m}x{n}-{kind}", Instance(CostMatrix(costs(kind, m, n))), product
+    kinds = ["continuous", "small", "additive"]
+    for n in (31, 64, 65, 130):
+        for k, m in enumerate((1, 3, 7)):
+            kind = kinds[(n + k) % 3]
+            yield (f"sparse-{m}x{n}-{kind}", Instance(CostMatrix(costs(kind, m, n))),
+                   _random_sparse_plan(rng, m, n, 3))
+    yield "sparse-31x1-small", Instance(CostMatrix(costs("small", 31, 1))), _random_sparse_plan(rng, 31, 1, 2)
+
+
+_WIDE_UNCROSS_CASES = list(_wide_uncross_cases())
+
+
+@pytest.mark.parametrize("inst,plan", [case[1:] for case in _WIDE_UNCROSS_CASES],
+                         ids=[case[0] for case in _WIDE_UNCROSS_CASES])
+def test_uncross_matches_definition_past_one_digit(inst, plan):
+    assert uncross(inst, plan) == _uncross_by_definition(inst, plan)
+
+
 def test_plan_validate_rejects_bad_marginals():
     with pytest.raises(ValueError):
         TransportPlan(2, 2, 2, ((0, 0, 2), (1, 1, 0))).validate()
