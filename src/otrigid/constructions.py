@@ -55,16 +55,11 @@ def _perfect_matching(support_by_row, n):
     """
     match_col = [-1] * n  # column -> row
     for root in range(n):
-        first = support_by_row[root][0]
-        if match_col[first] < 0:  # the search would take it at once
-            match_col[first] = root
-            continue
         visited = [False] * n
-        stack = [(root, iter(support_by_row[root]))]
-        taken = []  # taken[k]: the column stack[k]'s row is trying
+        stack = [iter(support_by_row[root])]  # stack[k]: columns left for the path's k-th row
+        taken = []  # taken[k]: the column the path's k-th row is trying
         while stack:
-            row, cols = stack[-1]
-            for col in cols:
+            for col in stack[-1]:
                 if not visited[col]:
                     visited[col] = True
                     break
@@ -73,12 +68,16 @@ def _perfect_matching(support_by_row, n):
                 if taken:
                     taken.pop()
                 continue
-            taken.append(col)
-            if match_col[col] < 0:  # free column: flip the path
-                for (r, _), c in zip(stack, taken):
-                    match_col[c] = r
-                break
-            stack.append((match_col[col], iter(support_by_row[match_col[col]])))
+            row = match_col[col]
+            if row >= 0:
+                taken.append(col)
+                stack.append(iter(support_by_row[row]))
+                continue
+            while taken:  # free column: flip the path, each column to the row before
+                prev = taken.pop()
+                match_col[col], col = match_col[prev], prev
+            match_col[col] = root
+            break
         else:
             return None
     sigma = [-1] * n

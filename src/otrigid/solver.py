@@ -586,7 +586,7 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     so a pair's common targets are one ``&``, "fewer than two" is one
     ``x & (x - 1)``, and the walk takes the lowest set bit each step.  The
     output support is a subset of the input one, so it is read off the input
-    flows in their order; with nothing pushed the input plan is returned.
+    flows in their order.
     Raises ValueError when the shapes differ.
     """
     check_shape(inst, plan)
@@ -594,10 +594,13 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     tie_tol = TIE_TOL * inst.costs.max_abs
     m = plan.m
     rows = [[0] * plan.n for _ in range(m)]  # rows[i][j] = f_ij
-    masks = [0] * m  # bit j of masks[i] is set iff f_ij > 0
+    # digits[i][j] is "1" iff f_ij > 0; reversed, it is the base-2 numeral of
+    # masks[i], so a wide row costs one parse, not a big-int OR per arc
+    digits = [bytearray(b"0") * plan.n for _ in range(m)]
     for i, j, f in plan.flows:
         rows[i][j] = f
-        masks[i] |= 1 << j
+        digits[i][j] = 49  # ord("1")
+    masks = [int(d[::-1], 2) for d in digits]  # bit j set iff f_ij > 0
     # cost rows as lists, read only for sources that push: a crossing-free
     # plan on a wide matrix then converts no costs at all
     crow = [None] * m
@@ -661,6 +664,4 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
                     masks[i2] ^= 1 << b
 
     support = tuple((i, j, f) for i, j, _ in plan.flows if (f := rows[i][j]))
-    if len(support) == len(plan.flows):
-        return plan
     return TransportPlan(plan.m, plan.n, plan.scale, support)
