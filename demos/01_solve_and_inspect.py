@@ -26,7 +26,7 @@ print("optimality certified:", cert is not None)
 
 # and, being optimal under generic costs, it contains no crossing:
 # no two sources both send mass to the same two targets
-print("crossings:", len(ot.find_crossings(plan)))
+print("crossings:", ot.pair_counts(plan).crossings)
 
 ot.emit_svg(inst, plan, "demo_plan.svg")
 print("wrote demo_plan.svg")

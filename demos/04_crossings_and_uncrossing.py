@@ -20,11 +20,11 @@ for i in range(n):
 plan = ot.TransportPlan(n, n, 2 * n, tuple((i, j, f) for (i, j), f in flows.items()))
 
 inst = ot.gen_random_costs(n, n, seed=0)
-print("crossings before:", len(ot.find_crossings(plan)))
+print("crossings before:", ot.pair_counts(plan).crossings)
 print("objective before:", ot.objective(inst, plan))
 
 repaired = ot.uncross(inst, plan)
-print("crossings after: ", len(ot.find_crossings(repaired)))
+print("crossings after: ", ot.pair_counts(repaired).crossings)
 print("objective after: ", ot.objective(inst, repaired))
 assert ot.objective(inst, repaired) <= ot.objective(inst, plan)
 
@@ -34,4 +34,4 @@ tiny = ot.gen_random_costs(3, 4, seed=1)
 res = ot.brute_force_solve(tiny)
 print(f"\n3x4 oracle: {res.enumerated_count} integral plans, "
       f"{len(res.optimal_plans)} optimal, "
-      f"crossings in optima: {sum(len(ot.find_crossings(p)) for p in res.optimal_plans)}")
+      f"crossings in optima: {sum(ot.pair_counts(p).crossings for p in res.optimal_plans)}")

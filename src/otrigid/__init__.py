@@ -9,7 +9,6 @@ rigid their support structure is.
 from .analysis import (
     PairCountReport,
     RigidityReport,
-    fanout_split,
     pair_counts,
     rigidity_report,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "cost_from_points",
     "emit_svg",
     "enumerate_plans",
-    "fanout_split",
     "find_crossings",
     "gcd_construct",
     "gen_point_instance",

@@ -1,8 +1,10 @@
 """Rigidity statistics: fanout/fanin vectors, bound checks, pair counting.
 
 Fanout t_i counts distinct targets of source i, fanin l_j counts distinct
-sources of target j.  The three bound verdicts check, for a plan under
-generic costs:
+sources of target j.  Each fanout splits as t_i = full_i + d_i: full_i
+targets that source i fills alone (f_ij = S/n, so full_i <= floor(n/m)) and
+d_i targets it shares with another source.  The three bound verdicts check,
+for a plan under generic costs:
 
   (1)  ceil(n/m) <= t_i <= floor(n/m) + m - 1   for every source,
   (2)  mean(t)   <= n/m + sqrt(n),
@@ -20,6 +22,8 @@ from .solver import TransportPlan, shared_targets
 class RigidityReport:
     t: tuple  # fanout per source
     ell: tuple  # fanin per target
+    full: tuple  # per source, targets it fills alone (f_ij = S/n)
+    split: tuple  # per source, targets it shares: t_i - full_i
     support_size: int
     bound1_ok: bool
     bound2_ok: bool
@@ -47,17 +51,23 @@ class RigidityReport:
 class PairCountReport:
     pair_counts: dict  # {(i, i2): common-target count}, only nonzero pairs
     total: int  # sum_j C(l_j, 2)
+    crossings: int  # sum over source pairs of C(common targets, 2)
     max_pair_count: int
     pair_bound: int  # C(m, 2)
 
 
 def rigidity_report(plan: TransportPlan) -> RigidityReport:
+    """Fanouts, fanins, each fanout's full/split parts and the bound verdicts, in one pass."""
     m, n = plan.m, plan.n
+    cap = plan.scale // n
     t = [0] * m
     ell = [0] * n
-    for i, j, _ in plan.flows:
+    full = [0] * m
+    for i, j, f in plan.flows:
         t[i] += 1
         ell[j] += 1
+        if f == cap:
+            full[i] += 1
     support = len(plan.flows)
     lower = -(-n // m)  # ceil
     upper1 = n // m + m - 1
@@ -70,6 +80,8 @@ def rigidity_report(plan: TransportPlan) -> RigidityReport:
     return RigidityReport(
         t=tuple(t),
         ell=tuple(ell),
+        full=tuple(full),
+        split=tuple(ti - fi for ti, fi in zip(t, full)),
         support_size=support,
         bound1_ok=bound1_ok,
         bound2_ok=bound23_ok,
@@ -81,27 +93,13 @@ def rigidity_report(plan: TransportPlan) -> RigidityReport:
     )
 
 
-def fanout_split(plan: TransportPlan, i: int):
-    """(saturated, partial): targets source i fills to capacity vs partially.
-
-    Saturation is exact integer equality f_ij == S/n.  saturated <= floor(n/m)
-    by mass conservation; for non-crossing plans partial <= m - 1.
-    """
-    if not 0 <= i < plan.m:
-        raise IndexError(f"source index {i} out of range")
-    cap = plan.scale // plan.n
-    saturated = 0
-    fanout = 0
-    for ii, _, f in plan.flows:
-        if ii == i:
-            fanout += 1
-            if f == cap:
-                saturated += 1
-    return saturated, fanout - saturated
-
-
 def pair_counts(plan: TransportPlan) -> PairCountReport:
-    """Common-target counts per source pair; total cross-checked as sum C(l_j, 2)."""
+    """Common-target counts per source pair, and the crossings they make.
+
+    ``total`` is cross-checked as sum C(l_j, 2).  A source pair with k common
+    targets makes C(k, 2) crossings, so ``crossings`` costs nothing beyond
+    the counts, however many crossings there are.
+    """
     counts = {pair: len(common) for pair, common in shared_targets(plan).items()}
     ell = [0] * plan.n
     for _, j, _ in plan.flows:
@@ -112,6 +110,7 @@ def pair_counts(plan: TransportPlan) -> PairCountReport:
     return PairCountReport(
         pair_counts=counts,
         total=total,
+        crossings=sum(k * (k - 1) // 2 for k in counts.values()),
         max_pair_count=max(counts.values(), default=0),
         pair_bound=plan.m * (plan.m - 1) // 2,
     )

@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import instance as inst_mod
-from .analysis import rigidity_report
+from .analysis import pair_counts, rigidity_report
 from .constructions import birkhoff_decompose, gcd_construct
 from .experiments import ExperimentSpec, run_experiment
 from .io import (
@@ -23,7 +23,7 @@ from .io import (
     stats_dict,
 )
 from .oracle import brute_force_solve, DEFAULT_CAP
-from .solver import find_crossings, objective, solve, uncross
+from .solver import objective, solve, uncross
 from .svg import emit_svg
 
 
@@ -149,7 +149,7 @@ def _run(args) -> int:
         save_plan_csv(repaired, args.out)
         print(json.dumps({"objective_before": objective(inst, plan),
                           "objective_after": objective(inst, repaired),
-                          "crossings_removed": len(find_crossings(plan))}))
+                          "crossings_removed": pair_counts(plan).crossings}))
         return 0
     if cmd == "gcd-construct":
         inst = load_instance(args.instance)

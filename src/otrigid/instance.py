@@ -10,7 +10,10 @@ input arrays and mark the copies non-writeable, so the costs a plan is
 certified on are the costs it was solved on.  ``m``, ``n``, ``scale`` and
 ``max_abs`` are plain attributes, computed once at construction.  Deep
 copies and pickles rebuild both through their constructors, so they are
-read-only too, and ``==`` compares the arrays by value.
+read-only too, and ``==`` compares the arrays by value.  A hash of the
+array bytes would not agree with that ``==`` (0.0 == -0.0), so ``hash()``
+of any of the three raises TypeError: ``Instance`` sets ``__hash__ = None``,
+and ``eq=False`` keeps the other two's own ``__eq__``, which implies it.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ MAX_ABS_COST = 2.0**996
 VIOLATION_LIST_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """A non-empty list of points of common dimension, labelled source or target."""
 
@@ -76,7 +79,7 @@ class PointCloud:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostMatrix:
     """Dense m x n matrix of finite transport costs with |c_ij| <= MAX_ABS_COST.
 
@@ -130,6 +133,8 @@ class Instance:
 
     costs: CostMatrix
     geometry: Optional[Geometry] = None
+
+    __hash__ = None  # see the module docstring
 
     def __post_init__(self):
         m, n = self.costs.m, self.costs.n

@@ -10,10 +10,10 @@ import json
 import math
 from fractions import Fraction
 
-from .analysis import rigidity_report
+from .analysis import pair_counts, rigidity_report
 from .constructions import PermutationDecomposition
 from .instance import CostMatrix, Geometry, Instance, PointCloud
-from .solver import TransportPlan, find_crossings
+from .solver import TransportPlan
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -127,7 +127,7 @@ def stats_dict(plan: TransportPlan) -> dict:
         "t_mean": rep.support_size / plan.m,
         "ell_mean": rep.support_size / plan.n,
         "bounds": {"b1": rep.bound1_ok, "b2": rep.bound2_ok, "b3": rep.bound3_ok},
-        "crossings": len(find_crossings(plan)),
+        "crossings": pair_counts(plan).crossings,
     }
 
 

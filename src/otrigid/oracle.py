@@ -122,7 +122,11 @@ def brute_force_solve(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     count = 0
     for rows in _tables(inst, cap):
         count += 1
-        cost = sum(cij * f for crow, row in zip(c, rows) for cij, f in zip(crow, row) if f)
+        cost = 0.0  # folded left, as scaled_objective sums
+        for crow, row in zip(c, rows):
+            for cij, f in zip(crow, row):
+                if f:
+                    cost += cij * f
         if best is None or cost < best - tie:
             best = cost
             optimal = [t for t in optimal if t[0] <= best + tie]

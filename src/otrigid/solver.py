@@ -122,7 +122,6 @@ class Crossing:
     i2: int
     j: int
     j2: int
-    costs: Optional[tuple] = None  # (c_ij, c_ij2, c_i2j, c_i2j2) when known
 
 
 class SupportCycleError(ValueError):
@@ -446,12 +445,16 @@ def scaled_objective(inst: Instance, plan: TransportPlan) -> float:
     """Integer-weighted cost sum c_ij * f_ij (no division by the scale).
 
     Sums in flow order over one (i, j) gather of the support's costs, so the
-    cost is O(support).  Raises ValueError when the shapes differ.
+    cost is O(support).  It folds left, which ``sum()`` stopped doing in Python
+    3.12, so every Python gets the same bits.  Raises ValueError on a shape mismatch.
     """
     check_shape(inst, plan)
     flows = plan.flows
     costs = inst.costs.c[[i for i, _, _ in flows], [j for _, j, _ in flows]].tolist()
-    return sum(cij * f for cij, (_, _, f) in zip(costs, flows))
+    total = 0.0
+    for cij, (_, _, f) in zip(costs, flows):
+        total += cij * f
+    return total
 
 
 def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCertificate]:
@@ -535,31 +538,19 @@ def shared_targets(plan: TransportPlan) -> dict:
     return shared
 
 
-def find_crossings(plan: TransportPlan, inst: Optional[Instance] = None):
+def find_crossings(plan: TransportPlan):
     """All (i<i2, j<j2) quadruples where all four flows are positive.
 
     Only source pairs sharing two or more targets (``shared_targets``) yield
-    crossings.  Costs are attached when an instance is supplied, which must
-    have the plan's shape.
+    crossings.  A plan can have ~m^2 n^2 / 4 of them, so a caller that only
+    counts them reads ``analysis.pair_counts(plan).crossings`` instead.
     """
-    out = []
-    c = None
-    if inst is not None:
-        check_shape(inst, plan)
-        c = inst.costs.c
-    for (i, i2), common in sorted(shared_targets(plan).items()):
-        for a, j in enumerate(common):
-            for j2 in common[a + 1:]:
-                costs = None
-                if c is not None:
-                    costs = (
-                        float(c[i, j]),
-                        float(c[i, j2]),
-                        float(c[i2, j]),
-                        float(c[i2, j2]),
-                    )
-                out.append(Crossing(i, i2, j, j2, costs))
-    return out
+    return [
+        Crossing(i, i2, j, j2)
+        for (i, i2), common in sorted(shared_targets(plan).items())
+        for a, j in enumerate(common)
+        for j2 in common[a + 1:]
+    ]
 
 
 def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:

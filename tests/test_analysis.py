@@ -9,7 +9,6 @@ from otrigid import (
     CostMatrix,
     Instance,
     TransportPlan,
-    fanout_split,
     gen_random_costs,
     pair_counts,
     rigidity_report,
@@ -46,19 +45,18 @@ def test_double_count_identity():
 
 
 def test_fanout_split_2x3_fixture():
-    plan = solve(Instance(CostMatrix(C23)))
-    assert fanout_split(plan, 0) == (1, 1)  # target 0 saturated at S/n = 2
+    rep = rigidity_report(solve(Instance(CostMatrix(C23))))
+    assert (rep.full[0], rep.split[0]) == (1, 1)  # target 0 filled at S/n = 2
 
 
 def test_fanout_split_single_source():
-    plan = solve(gen_random_costs(1, 5, 3))
-    assert fanout_split(plan, 0) == (5, 0)
+    rep = rigidity_report(solve(gen_random_costs(1, 5, 3)))
+    assert (rep.full, rep.split) == ((5,), (0,))
 
 
 def test_fanout_split_permutation():
-    plan = solve(gen_random_costs(6, 6, 2))
-    for i in range(6):
-        assert fanout_split(plan, i) == (1, 0)
+    rep = rigidity_report(solve(gen_random_costs(6, 6, 2)))
+    assert (rep.full, rep.split) == ((1,) * 6, (0,) * 6)
 
 
 def test_fanout_split_bounds():
@@ -66,23 +64,19 @@ def test_fanout_split_bounds():
         inst = gen_random_costs(5, 12, seed)
         plan = solve(inst)
         rep = rigidity_report(plan)
+        cap = plan.scale // plan.n
         for i in range(inst.m):
-            sat, part = fanout_split(plan, i)
-            assert sat + part == rep.t[i]
-            assert sat <= inst.n // inst.m
-            assert part <= inst.m - 1  # non-crossing plans
-
-
-def test_fanout_split_index_error():
-    plan = solve(gen_random_costs(2, 3, 0))
-    with pytest.raises(IndexError):
-        fanout_split(plan, 2)
+            row = [f for ii, _, f in plan.flows if ii == i]
+            assert rep.full[i] == sum(f == cap for f in row)
+            assert rep.full[i] + rep.split[i] == rep.t[i]
+            assert rep.full[i] <= inst.n // inst.m
+            assert rep.split[i] <= inst.m - 1  # non-crossing plans
 
 
 def test_pair_counts_permutation():
     plan = solve(gen_random_costs(7, 7, 4))
     rep = pair_counts(plan)
-    assert rep.total == 0
+    assert rep.total == rep.crossings == 0
     assert rep.pair_counts == {}
 
 
@@ -91,6 +85,7 @@ def test_pair_counts_full_2x2():
     rep = pair_counts(plan)
     assert rep.pair_counts == {(0, 1): 2}
     assert rep.total == 2
+    assert rep.crossings == 1
     assert rep.total > rep.pair_bound  # crossing plan violates the bound
 
 
@@ -99,6 +94,7 @@ def test_pair_counts_bounded_for_solver_output():
         inst = gen_random_costs(6, 17, seed)
         rep = pair_counts(solve(inst))
         assert rep.max_pair_count <= 1
+        assert rep.crossings == 0
         assert rep.total <= rep.pair_bound
 
 

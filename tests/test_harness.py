@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,10 +23,12 @@ from otrigid import (
     gen_random_costs,
     load_instance,
     load_plan_csv,
+    objective,
     run_experiment,
     save_instance,
     save_plan_csv,
     solve,
+    stats_dict,
 )
 from otrigid.cli import main
 from otrigid.experiments import build_instance
@@ -278,13 +282,13 @@ def test_run_seed_computes_stats_once(tmp_path, monkeypatch):
     from otrigid import experiments, io
 
     calls = []
-    real = io.find_crossings
+    real = io.pair_counts
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(io, "find_crossings", counted)
+    monkeypatch.setattr(io, "pair_counts", counted)
     spec = ExperimentSpec(preset="fig1", out_dir="", ell=3).resolved()
     record = experiments.run_seed(spec, 0, str(tmp_path))
     assert len(calls) == 1
@@ -338,6 +342,47 @@ def test_cli_end_to_end(tmp_path, capsys):
     out_path = tmp_path / "uncrossed.csv"
     assert main(["uncross", "--instance", str(inst_path), "--plan", str(plan_path),
                  "--out", str(out_path)]) == 0
+
+
+def _product_plan(m, n):
+    return TransportPlan(m, n, m * n, tuple((i, j, 1) for i in range(m) for j in range(n)))
+
+
+def test_stats_count_crossings_without_listing_them():
+    # the all-ones 40x41 plan has C(40,2) * C(41,2) crossings; listing them
+    # peaked at ~74 MB, counting them from the source pairs takes under 1
+    plan = _product_plan(40, 41)
+    tracemalloc.start()
+    try:
+        stats = stats_dict(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["crossings"] == math.comb(40, 2) * math.comb(41, 2) == 639600
+    assert peak < 10 * 2**20
+
+
+def test_cli_on_dense_product_plan(tmp_path, capsys):
+    inst = gen_random_costs(40, 41, 3)
+    plan = _product_plan(40, 41)
+    inst_path, plan_path = tmp_path / "inst.json", tmp_path / "plan.csv"
+    save_instance(inst, inst_path)
+    save_plan_csv(plan, plan_path)
+    assert main(["analyze", "--instance", str(inst_path), "--plan", str(plan_path)]) == 0
+    assert capsys.readouterr().out == json.dumps({
+        "bounds": {"b1": False, "b2": False, "b3": False}, "crossings": 639600,
+        "ell": [40] * 41, "ell_mean": 40.0, "m": 40, "n": 41, "support_size": 1640,
+        "t": [41] * 40, "t_max": 41, "t_mean": 41.0, "t_min": 41,
+    }) + "\n"
+    out_path = tmp_path / "uncrossed.csv"
+    assert main(["uncross", "--instance", str(inst_path), "--plan", str(plan_path),
+                 "--out", str(out_path)]) == 0
+    repaired = load_plan_csv(out_path, m=40, n=41)
+    assert capsys.readouterr().out == json.dumps({
+        "objective_before": objective(inst, plan),
+        "objective_after": objective(inst, repaired),
+        "crossings_removed": 639600,
+    }) + "\n"
 
 
 def test_cli_birkhoff_and_oracle(tmp_path, capsys):

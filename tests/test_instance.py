@@ -328,6 +328,21 @@ def test_copies_and_pickles_are_read_only(inst):
     assert perturb(inst, 1e-9, 0) != inst  # == compares values
 
 
+def test_instances_are_unhashable():
+    # == compares the arrays by value, so a hash would have to agree with
+    # that; none is given, and hashing fails naming the otrigid type
+    inst = gen_point_instance("uniform-square", 2, 3, 2.0, 0)
+    for obj, name in ((inst, "Instance"), (inst.costs, "CostMatrix"),
+                      (inst.geometry.sources, "PointCloud")):
+        with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+            hash(obj)
+        with pytest.raises(TypeError, match=name):
+            obj in set()
+        with pytest.raises(TypeError, match=name):
+            {obj}
+        assert obj == copy.deepcopy(obj)
+
+
 def _assert_derived(inst):
     c = inst.costs.c
     assert (inst.m, inst.n) == (inst.costs.m, inst.costs.n) == c.shape

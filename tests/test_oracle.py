@@ -10,6 +10,7 @@ from otrigid import (
     Instance,
     OracleCapExceeded,
     OracleResult,
+    TransportPlan,
     brute_force_solve,
     enumerate_plans,
     find_crossings,
@@ -182,3 +183,14 @@ def test_all_integral_optima_noncrossing_when_generic():
         res = brute_force_solve(inst)
         for p in res.optimal_plans:
             assert find_crossings(p) == []
+
+
+def test_float_sums_fold_left():
+    # Python >= 3.12's sum() compensates float sums and would return 1.0;
+    # objectives fold left, so 1e16 + 1.0 rounds back to 1e16 first
+    inst = Instance(CostMatrix(np.array([[1e16, 1.0, -1e16]])))
+    plan = TransportPlan(1, 3, 3, ((0, 0, 1), (0, 1, 1), (0, 2, 1)))
+    assert scaled_objective(inst, plan) == 0.0
+    res = brute_force_solve(inst)
+    assert res.optimal_plans == (plan,)
+    assert res.min_cost == 0.0

@@ -350,18 +350,10 @@ def test_find_crossings_full_2x2():
     assert (x.i, x.i2, x.j, x.j2) == (0, 1, 0, 1)
 
 
-def test_find_crossings_attaches_costs():
-    inst = Instance(CostMatrix(np.array([[0.0, 1.0], [2.0, 3.0]])))
-    plan = TransportPlan(2, 2, 4, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
-    (x,) = find_crossings(plan, inst)
-    assert x.costs == (0.0, 1.0, 2.0, 3.0)
-
-
-def _brute_force_crossings(plan, inst):
+def _brute_force_crossings(plan):
     pos = plan.flow_dict()
-    c = inst.costs.c
     return [
-        (i, i2, j, j2, (c[i, j], c[i, j2], c[i2, j], c[i2, j2]))
+        (i, i2, j, j2)
         for i in range(plan.m) for i2 in range(i + 1, plan.m)
         for j in range(plan.n) for j2 in range(j + 1, plan.n)
         if {(i, j), (i, j2), (i2, j), (i2, j2)} <= pos.keys()
@@ -379,14 +371,15 @@ def test_find_crossings_matches_brute_force(m, n, seed, density):
         plan = TransportPlan(m, n, m * n, tuple((i, j, 1) for i in range(m) for j in range(n)))
     else:
         plan = _random_sparse_plan(rng, m, n, math.ceil(density * m * n / (m + n - 1)))
-    inst = gen_random_costs(m, n, seed)
-    got = [(x.i, x.i2, x.j, x.j2, x.costs) for x in find_crossings(plan, inst)]
-    assert got == _brute_force_crossings(plan, inst)
-    # pair_counts reads the same source-pair index
+    got = [(x.i, x.i2, x.j, x.j2) for x in find_crossings(plan)]
+    assert got == _brute_force_crossings(plan)
+    # pair_counts reads the same source-pair index, and counts the same crossings
     pos = plan.flow_dict()
     common = {(i, i2): sum((i, j) in pos and (i2, j) in pos for j in range(n))
               for i in range(m) for i2 in range(i + 1, m)}
-    assert pair_counts(plan).pair_counts == {k: v for k, v in common.items() if v}
+    rep = pair_counts(plan)
+    assert rep.pair_counts == {k: v for k, v in common.items() if v}
+    assert rep.crossings == len(got)
     if density == 1.0:
         assert len(got) == math.comb(m, 2) * math.comb(n, 2)
 
@@ -656,7 +649,7 @@ def test_plan_shape_must_match_instance(m, n):
     # matrix or drawn
     inst = gen_random_costs(3, 3, 0)
     plan = solve(gen_random_costs(m, n, 0))
-    for check in (objective, verify_optimality, uncross, lambda i, p: find_crossings(p, i)):
+    for check in (objective, verify_optimality, uncross):
         with pytest.raises(ValueError, match="do not match"):
             check(inst, plan)
     geo = cost_from_points(PointCloud(np.eye(3, 2), "source"), PointCloud(np.eye(3, 2), "target"), 1.0)
