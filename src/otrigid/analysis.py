@@ -9,6 +9,10 @@ for a plan under generic costs:
   (1)  ceil(n/m) <= t_i <= floor(n/m) + m - 1   for every source,
   (2)  mean(t)   <= n/m + sqrt(n),
   (3)  mean(l)   <= 1 + m/sqrt(n).
+
+(2) and (3) are one test: with support size s, (2) says s/m <= n/m + sqrt(n)
+and (3) says s/n <= 1 + m/sqrt(n), and both say s <= n + m*sqrt(n), which
+integers decide exactly.  ``bound2_ok`` is the verdict for both.
 """
 from __future__ import annotations
 
@@ -26,8 +30,7 @@ class RigidityReport:
     split: tuple  # per source, targets it shares: t_i - full_i
     support_size: int
     bound1_ok: bool
-    bound2_ok: bool
-    bound3_ok: bool
+    bound2_ok: bool  # bounds (2) and (3), one test
     lower: int  # ceil(n/m)
     upper1: int  # floor(n/m) + m - 1
     upper2: float  # n/m + sqrt(n)
@@ -74,9 +77,7 @@ def rigidity_report(plan: TransportPlan) -> RigidityReport:
     upper2 = n / m + math.sqrt(n)
     upper3 = 1.0 + m / math.sqrt(n)
     bound1_ok = all(lower <= ti <= upper1 for ti in t)
-    # (2) s/m <= n/m + sqrt(n) and (3) s/n <= 1 + m/sqrt(n) both say
-    # s <= n + m*sqrt(n), which integers decide exactly
-    bound23_ok = support <= n or (support - n) ** 2 <= m * m * n
+    bound2_ok = support <= n or (support - n) ** 2 <= m * m * n
     return RigidityReport(
         t=tuple(t),
         ell=tuple(ell),
@@ -84,8 +85,7 @@ def rigidity_report(plan: TransportPlan) -> RigidityReport:
         split=tuple(ti - fi for ti, fi in zip(t, full)),
         support_size=support,
         bound1_ok=bound1_ok,
-        bound2_ok=bound23_ok,
-        bound3_ok=bound23_ok,
+        bound2_ok=bound2_ok,
         lower=lower,
         upper1=upper1,
         upper2=upper2,

@@ -111,7 +111,7 @@ def _run(args) -> int:
         if args.out_plan:
             save_plan_csv(plan, args.out_plan)
         if args.out_stats:
-            save_stats_json(plan, args.out_stats)
+            save_stats_json(stats_dict(plan), args.out_stats)
         print(json.dumps({"objective": objective(inst, plan),
                           "support_size": plan.support_size,
                           "scale": plan.scale}))

@@ -2,57 +2,59 @@
 
 Presets:
   fig1  - m = 2*ell uniform sources to n = 3*ell uniform targets, W1 cost.
-  fig2  - 50 sources to 2222 targets, uniform or gaussian 2D points, W2 cost.
+  fig2  - 50 sources to 2222 targets, uniform 2D points, W2 cost.
   sec22 - 7 sources to 2000 targets with iid uniform random costs.
 """
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from . import instance as inst_mod
 from .instance import Instance, genericity_check, perturb
-from .io import save_plan_csv, stats_dict, write_stats_json
+from .io import save_plan_csv, save_stats_json, stats_dict
 from .solver import solve
 from .svg import emit_svg
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A preset run over seeds.
+
+    Also holds the preset's ``m``, ``n``, ``p`` and ``random_costs``; they are
+    not fields.  A preset other than fig1, fig2 or sec22 raises ValueError.
+    """
+
     preset: str
     out_dir: str
     ell: int = 10
-    m: int = 0
-    n: int = 0
-    dist: str = "uniform-square"
-    p: float = 2.0
-    random_costs: bool = False
     seeds: tuple = tuple(range(10))
 
-    def resolved(self) -> "ExperimentSpec":
-        """Apply the preset's forced parameters."""
+    def __post_init__(self):
         if self.preset == "fig1":
-            return replace(self, m=2 * self.ell, n=3 * self.ell, p=1.0,
-                           dist="uniform-square", random_costs=False)
-        if self.preset == "fig2":
-            return replace(self, m=50, n=2222, p=2.0, random_costs=False)
-        if self.preset == "sec22":
-            return replace(self, m=7, n=2000, random_costs=True)
-        if self.preset == "custom":
-            if self.m < 1 or self.n < 1:
-                raise ValueError("custom preset requires explicit m and n")
-            return self
-        raise ValueError(f"unknown preset {self.preset!r}")
+            shape = (2 * self.ell, 3 * self.ell, 1.0, False)
+        elif self.preset == "fig2":
+            shape = (50, 2222, 2.0, False)
+        elif self.preset == "sec22":
+            shape = (7, 2000, 2.0, True)
+        else:
+            raise ValueError(f"unknown preset {self.preset!r}")
+        for name, value in zip(("m", "n", "p", "random_costs"), shape):
+            object.__setattr__(self, name, value)
+
+    def resolved(self) -> "ExperimentSpec":
+        # the preset's values are set at construction; kept for
+        # bench/workloads.py, which still calls it
+        return self
 
 
 def build_instance(spec: ExperimentSpec, seed: int) -> Instance:
     if spec.random_costs:
         return inst_mod.gen_random_costs(spec.m, spec.n, seed)
-    return inst_mod.gen_point_instance(spec.dist, spec.m, spec.n, spec.p, seed)
+    return inst_mod.gen_point_instance("uniform-square", spec.m, spec.n, spec.p, seed)
 
 
-def run_seed(spec: ExperimentSpec, seed: int, out_dir: Optional[str] = None) -> dict:
+def run_seed(spec: ExperimentSpec, seed: int, out_dir: str) -> dict:
     """Generate, check genericity (perturb once on violation), solve, emit."""
     inst = build_instance(spec, seed)
     report = genericity_check(inst)
@@ -69,17 +71,15 @@ def run_seed(spec: ExperimentSpec, seed: int, out_dir: Optional[str] = None) -> 
         "generic": report.generic,
         "stats": stats,
     }
-    if out_dir is not None:
-        save_plan_csv(plan, os.path.join(out_dir, f"seed{seed:04d}_plan.csv"))
-        write_stats_json(stats, os.path.join(out_dir, f"seed{seed:04d}_stats.json"))
-        if inst.geometry is not None:
-            emit_svg(inst, plan, os.path.join(out_dir, f"seed{seed:04d}.svg"))
+    save_plan_csv(plan, os.path.join(out_dir, f"seed{seed:04d}_plan.csv"))
+    save_stats_json(stats, os.path.join(out_dir, f"seed{seed:04d}_stats.json"))
+    if inst.geometry is not None:
+        emit_svg(inst, plan, os.path.join(out_dir, f"seed{seed:04d}.svg"))
     return record
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run every seed, write artifacts, and aggregate the fanout-excess histogram."""
-    spec = spec.resolved()
     os.makedirs(spec.out_dir, exist_ok=True)
     records = [run_seed(spec, seed, spec.out_dir) for seed in spec.seeds]
     lower = -(-spec.n // spec.m)
@@ -92,7 +92,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "m": spec.m,
         "n": spec.n,
         "p": spec.p,
-        "dist": "random-costs" if spec.random_costs else spec.dist,
+        "dist": "random-costs" if spec.random_costs else "uniform-square",
         "seeds": list(spec.seeds),
         "fanout_lower_bound": lower,
         "t_max_excess_histogram": {str(k): v for k, v in sorted(excess_hist.items())},

@@ -7,13 +7,16 @@ integral.
 
 Instances are read-only copies: ``CostMatrix`` and ``PointCloud`` copy their
 input arrays and mark the copies non-writeable, so the costs a plan is
-certified on are the costs it was solved on.  ``m``, ``n``, ``scale`` and
-``max_abs`` are plain attributes, computed once at construction.  Deep
-copies and pickles rebuild both through their constructors, so they are
-read-only too, and ``==`` compares the arrays by value.  A hash of the
-array bytes would not agree with that ``==`` (0.0 == -0.0), so ``hash()``
-of any of the three raises TypeError: ``Instance`` sets ``__hash__ = None``,
-and ``eq=False`` keeps the other two's own ``__eq__``, which implies it.
+certified on are the costs it was solved on.  Point clouds carry no label:
+``Geometry``'s ``sources`` and ``targets`` slots say which is which, so
+``cost_from_points`` keeps the caller's clouds as they are.  ``m``, ``n``,
+``scale`` and ``max_abs`` are plain attributes, computed once at
+construction.  Deep copies and pickles rebuild both through their
+constructors, so they are read-only too, and ``==`` compares the arrays by
+value.  A hash of the array bytes would not agree with that ``==``
+(0.0 == -0.0), so ``hash()`` of any of the three raises TypeError:
+``Instance`` sets ``__hash__ = None``, and ``eq=False`` keeps the other
+two's own ``__eq__``, which implies it.
 """
 from __future__ import annotations
 
@@ -47,29 +50,26 @@ VIOLATION_LIST_LIMIT = 10_000
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """A non-empty list of points of common dimension, labelled source or target."""
+    """A non-empty list of points of common dimension."""
 
     points: np.ndarray  # shape (k, d)
-    label: str  # "source" | "target"
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("point cloud must be a non-empty (k, d) array with d >= 1")
-        if self.label not in ("source", "target"):
-            raise ValueError(f"label must be 'source' or 'target', got {self.label!r}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def __reduce__(self):
         # copies and pickles rebuild through the constructor, which copies
         # the points read-only again
-        return PointCloud, (self.points, self.label)
+        return PointCloud, (self.points,)
 
     def __eq__(self, other):
         if type(other) is not PointCloud:
             return NotImplemented
-        return self.label == other.label and np.array_equal(self.points, other.points)
+        return np.array_equal(self.points, other.points)
 
     def __len__(self):
         return self.points.shape[0]
@@ -182,7 +182,7 @@ def gen_points(dist, count, dim, seed):
         pts = rng.standard_normal((count, dim))
     else:
         raise ValueError(f"unknown distribution {dist!r}")
-    return PointCloud(pts, "source")
+    return PointCloud(pts)
 
 
 def cost_from_points(x: PointCloud, y: PointCloud, p: float) -> Instance:
@@ -192,10 +192,7 @@ def cost_from_points(x: PointCloud, y: PointCloud, p: float) -> Instance:
     if p <= 0:
         raise ValueError("exponent p must be positive")
     c = _power_distance_matrix(x.points, y.points, p)
-    geom = Geometry(
-        PointCloud(x.points, "source"), PointCloud(y.points, "target"), float(p)
-    )
-    return Instance(CostMatrix(c), geom)
+    return Instance(CostMatrix(c), Geometry(x, y, float(p)))
 
 
 def gen_point_instance(dist, m, n, p, seed) -> Instance:

@@ -40,9 +40,7 @@ def instance_from_dict(data: dict) -> Instance:
             raise ValueError("instance geometry must be an object with keys "
                              "sources, targets and p")
         geometry = Geometry(
-            PointCloud(g["sources"], "source"),
-            PointCloud(g["targets"], "target"),
-            float(g["p"]),
+            PointCloud(g["sources"]), PointCloud(g["targets"]), float(g["p"])
         )
     return Instance(costs, geometry)
 
@@ -126,16 +124,12 @@ def stats_dict(plan: TransportPlan) -> dict:
         "t_max": rep.t_max,
         "t_mean": rep.support_size / plan.m,
         "ell_mean": rep.support_size / plan.n,
-        "bounds": {"b1": rep.bound1_ok, "b2": rep.bound2_ok, "b3": rep.bound3_ok},
+        "bounds": {"b1": rep.bound1_ok, "b2": rep.bound2_ok, "b3": rep.bound2_ok},
         "crossings": pair_counts(plan).crossings,
     }
 
 
-def save_stats_json(plan: TransportPlan, path):
-    write_stats_json(stats_dict(plan), path)
-
-
-def write_stats_json(stats: dict, path):
+def save_stats_json(stats: dict, path):
     """Write a ``stats_dict`` payload as the stats JSON file."""
     with open(path, "w") as fh:
         json.dump(stats, fh, sort_keys=True)

@@ -131,7 +131,7 @@ def test_plan_csv_reread_marginals(tmp_path):
 def test_stats_json_roundtrip(tmp_path):
     plan = solve(gen_random_costs(3, 8, 1))
     path = tmp_path / "stats.json"
-    save_stats_json(plan, path)
+    save_stats_json(stats_dict(plan), path)
     first = path.read_bytes()
     data = json.loads(first)
     assert data["m"] == 3 and data["n"] == 8
@@ -217,7 +217,7 @@ SVG_DIGEST = "ffdca4d0d1ac8493b901b8427dea4e1cf136e120d4df7192850d14d33f26afb9"
 
 
 def test_svg_digest():
-    spec = ExperimentSpec("fig1", out_dir="", ell=10).resolved()
+    spec = ExperimentSpec("fig1", out_dir="", ell=10)
     h = hashlib.sha256()
     for seed in range(10):
         inst = build_instance(spec, seed)
@@ -231,14 +231,27 @@ def test_svg_digest():
 EXPERIMENT_DIGEST = "350b1eb0697662626002c64ce4418bcbd6c712cde34dbefcfdec84ea2c97372c"
 
 
-def test_experiment_output_digest(tmp_path):
-    run_experiment(ExperimentSpec("fig1", out_dir=str(tmp_path), ell=10))
-    files = sorted(tmp_path.iterdir())
-    assert len(files) == 31
+# The same over the files run_experiment writes for sec22 s0-2 (plan CSVs,
+# stats JSON and summary.json; random costs have no SVG)
+SEC22_EXPERIMENT_DIGEST = "d522b20bcd9695b688d358ca40c78ff0368fd6619c74d7bdec5677229cc6777c"
+
+
+def _output_digest(out_dir):
     h = hashlib.sha256()
+    files = sorted(out_dir.iterdir())
     for path in files:
         h.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert h.hexdigest() == EXPERIMENT_DIGEST
+    return len(files), h.hexdigest()
+
+
+def test_experiment_output_digest(tmp_path):
+    run_experiment(ExperimentSpec("fig1", out_dir=str(tmp_path), ell=10))
+    assert _output_digest(tmp_path) == (31, EXPERIMENT_DIGEST)
+
+
+def test_experiment_output_digest_sec22(tmp_path):
+    run_experiment(ExperimentSpec("sec22", out_dir=str(tmp_path), seeds=(0, 1, 2)))
+    assert _output_digest(tmp_path) == (7, SEC22_EXPERIMENT_DIGEST)
 
 
 def test_svg_requires_2d_geometry():
@@ -289,22 +302,33 @@ def test_run_seed_computes_stats_once(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(io, "pair_counts", counted)
-    spec = ExperimentSpec(preset="fig1", out_dir="", ell=3).resolved()
-    record = experiments.run_seed(spec, 0, str(tmp_path))
+    spec = ExperimentSpec(preset="fig1", out_dir=str(tmp_path), ell=3)
+    record = experiments.run_seed(spec, 0, spec.out_dir)
     assert len(calls) == 1
     stats = json.loads((tmp_path / "seed0000_stats.json").read_text())
     assert stats == record["stats"]
 
 
-def test_experiment_custom_requires_sizes(tmp_path):
-    with pytest.raises(ValueError):
-        run_experiment(ExperimentSpec(preset="custom", out_dir=str(tmp_path)))
+def test_experiment_spec_rejects_other_presets():
+    for preset in ("custom", "fig3"):
+        with pytest.raises(ValueError, match="unknown preset"):
+            ExperimentSpec(preset, out_dir="")
+
+
+def test_experiment_spec_preset_shapes():
+    # the presets fix their own sizes; nothing is solved here
+    def shape(spec):
+        return spec.m, spec.n, spec.p, spec.random_costs
+
+    assert shape(ExperimentSpec("fig2", out_dir="")) == (50, 2222, 2.0, False)
+    assert shape(ExperimentSpec("sec22", out_dir="")) == (7, 2000, 2.0, True)
+    assert shape(ExperimentSpec("fig1", out_dir="", ell=4)) == (8, 12, 1.0, False)
 
 
 def test_experiment_perturbs_on_genericity_violation(tmp_path, monkeypatch):
-    # duplicate target points make W2 costs degenerate quadruple-wise
-    spec = ExperimentSpec(preset="custom", out_dir=str(tmp_path / "d"),
-                          m=4, n=4, p=2.0, seeds=(0,))
+    # all-zero costs tie every quadruple
+    spec = ExperimentSpec(preset="fig1", out_dir=str(tmp_path / "d"),
+                          ell=2, seeds=(0,))
     from otrigid import experiments
 
     def degenerate(spec_, seed):

@@ -49,9 +49,8 @@ def test_gen_points_rejects_bad_args():
 
 
 def test_cost_from_points_345_triangle():
-    x = gen_points("uniform-square", 1, 2, 0)
-    x = type(x)(np.array([[0.0, 0.0]]), "source")
-    y = type(x)(np.array([[3.0, 4.0]]), "target")
+    x = PointCloud([[0.0, 0.0]])
+    y = PointCloud([[3.0, 4.0]])
     inst1 = cost_from_points(x, y, 1.0)
     inst2 = cost_from_points(x, y, 2.0)
     assert inst1.costs.c[0, 0] == pytest.approx(5.0, rel=1e-15)
@@ -70,6 +69,14 @@ def test_cost_from_points_swap_is_transpose():
     a = cost_from_points(x, y, 2.0)
     b = cost_from_points(y, x, 2.0)
     assert np.array_equal(a.costs.c, b.costs.c.T)
+
+
+def test_cost_from_points_keeps_the_clouds():
+    # the clouds are read-only already and carry no label to rewrite
+    x = gen_points("uniform-square", 3, 2, 1)
+    y = gen_points("uniform-square", 5, 2, 2)
+    geo = cost_from_points(x, y, 2.0).geometry
+    assert geo.sources is x and geo.targets is y
 
 
 def test_cost_from_points_dimension_mismatch():
@@ -181,7 +188,7 @@ def _near_tie_corpus():
     grid = np.array([(a, b) for a in range(3) for b in range(3)], dtype=float)
     for p in (1.0, 2.0):
         lattice = cost_from_points(
-            PointCloud(grid[:5], "source"), PointCloud(grid[2:], "target"), p
+            PointCloud(grid[:5]), PointCloud(grid[2:]), p
         )
         corpus.append(lattice.costs.c)
     return corpus
@@ -295,7 +302,7 @@ def test_instances_are_read_only_copies():
 
     xs = np.array([[0.0, 0.0], [1.0, 0.0]])
     ys = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
-    geo = cost_from_points(PointCloud(xs, "source"), PointCloud(ys, "target"), 2.0)
+    geo = cost_from_points(PointCloud(xs), PointCloud(ys), 2.0)
     xs[0, 0] = 5.0
     ys[:] = 0.0
     assert geo.geometry.sources.points[0, 0] == 0.0

@@ -113,7 +113,7 @@ def _lattice_w1(m, n, seed):
     y = rng.integers(0, 3, (n, 2)).astype(float)
     x[-1] = x[0]
     y[-1] = y[0]
-    return cost_from_points(PointCloud(x, "source"), PointCloud(y, "target"), 1.0).costs.c
+    return cost_from_points(PointCloud(x), PointCloud(y), 1.0).costs.c
 
 
 def _hostile_costs():
@@ -652,6 +652,6 @@ def test_plan_shape_must_match_instance(m, n):
     for check in (objective, verify_optimality, uncross):
         with pytest.raises(ValueError, match="do not match"):
             check(inst, plan)
-    geo = cost_from_points(PointCloud(np.eye(3, 2), "source"), PointCloud(np.eye(3, 2), "target"), 1.0)
+    geo = cost_from_points(PointCloud(np.eye(3, 2)), PointCloud(np.eye(3, 2)), 1.0)
     with pytest.raises(ValueError, match="do not match"):
         svg_document(geo, plan)
