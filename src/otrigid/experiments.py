@@ -22,7 +22,8 @@ class ExperimentSpec:
     """A preset run over seeds.
 
     Also holds the preset's ``m``, ``n``, ``p`` and ``random_costs``; they are
-    not fields.  A preset other than fig1, fig2 or sec22 raises ValueError.
+    not fields.  A preset other than fig1, fig2 or sec22, or fig1 with
+    ``ell < 1``, raises ValueError before anything is written.
     """
 
     preset: str
@@ -32,6 +33,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.preset == "fig1":
+            if self.ell < 1:
+                raise ValueError(f"ell must be at least 1, got {self.ell}")
             shape = (2 * self.ell, 3 * self.ell, 1.0, False)
         elif self.preset == "fig2":
             shape = (50, 2222, 2.0, False)

@@ -1,18 +1,26 @@
 """Brute-force enumeration of all integral plans on tiny instances.
 
 Ground truth for the solver and for claims quantified over every optimal
-plan.  Enumeration is row-by-row backtracking over integer matrices with
-fixed margins (row sums S/m, column sums S/n) that generates only live row
-fills: no partial table is built that cannot be completed.
+plan.  The integer matrices with fixed margins (row sums S/m, column sums
+S/n) are built in int64 numpy blocks of partial tables, expanded level by
+level, one entry per level: every partial table gets all the values its next
+entry can take with the table still completable, so no dead partial table is
+built.  Blocks are expanded depth-first, a bounded number of partial tables
+at a time, which keeps the lexicographic order and bounds memory.
+``brute_force_solve`` scores a whole block with the left fold that
+``scaled_objective`` uses, so its costs have the same bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .instance import TIE_TOL, Instance
 from .solver import TransportPlan
 
 DEFAULT_CAP = 10**7
+_TABLE_BLOCK = 4096  # partial tables per expansion; one table's values are never split
 
 
 class OracleCapExceeded(RuntimeError):
@@ -26,72 +34,87 @@ class OracleResult:
     enumerated_count: int
 
 
-def _row_fills(row_sum, lo, hi):
-    """Every row with lo[j] <= q_j <= hi[j] and sum q_j = row_sum, in
-    lexicographic order, with no dead prefix.
-
-    Built column by column: a prefix is extended only by values that leave
-    the remaining sum within the bounds of the columns still to fill.
-    """
-    prefixes = [((), row_sum)]  # (prefix, row_sum left for its tail)
-    lo_tail, hi_tail = sum(lo), sum(hi)
-    for lo_j, hi_j in zip(lo, hi):
-        lo_tail -= lo_j
-        hi_tail -= hi_j
-        prefixes = [
-            (prefix + (q,), left - q)
-            for prefix, left in prefixes
-            for q in range(max(lo_j, left - hi_tail), min(hi_j, left - lo_tail) + 1)
-        ]
-    return [prefix for prefix, _ in prefixes]
-
-
-def _tables(inst: Instance, cap: int):
+def _table_blocks(inst: Instance, cap: int):
     """Yield every integer matrix with row sums S/m and column sums S/n once,
-    as a tuple of row tuples, in lexicographic order of the rows.
+    as int64 blocks of shape (k, m, n), in lexicographic order of the rows.
 
-    Only live row fills are generated.  With r rows after row i, column j
-    still needing rem_j units takes at least max(0, rem_j - r * S/m) and at
-    most min(rem_j, S/m) in row i, so every fill extends to a table and the
-    last row is forced to equal the remaining column needs.  The fills of one
-    (row index, remaining columns) are built once per call.
+    Rows 0..m-2 are filled entry by entry in row-major order, one level of
+    the expansion per entry, and only live values are laid out.  A partial
+    table is live when the rest of its current row can be filled, since the
+    later rows can then always be filled: the north-west corner rule fills
+    any nonnegative column needs that add up to their row sums.  So with
+    ``left`` units still to place in the row and column k still needing
+    rem_k, entry j takes every q with
+    max(0, left - sum_{k>j} rem_k) <= q <= min(rem_j, left).  The values
+    of each partial table are laid out ascending with ``np.repeat`` over the
+    per-table value counts, so fills come out in lexicographic order.  A
+    row's last entry is forced to ``left``, and the last row to the needs the
+    columns have left.
 
-    Raises OracleCapExceeded when more than ``cap`` matrices exist.
+    A partial table is one int64 row: the entries of rows 0..m-2, then the
+    column needs, which become the last row, then ``left``.  Blocks wait on
+    a stack, deepest last.  An expansion that would make more than
+    ``_TABLE_BLOCK`` partial tables takes only a leading share of its block
+    and puts the rest back, so the order is kept and memory stays bounded at
+    any cap.
+
+    Raises OracleCapExceeded, after yielding the first ``cap`` tables, when
+    more than ``cap`` matrices exist.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    m = inst.m
+    m, n = inst.m, inst.n
     row_sum = inst.scale // m
-    fills = {}  # (i, rem_cols) -> [(row, rem_cols after the row), ...]
+    filled = (m - 1) * n  # entries expanded; the column needs follow them
+    left = m * n  # offset of what the current row still needs
+    root = np.zeros((1, left + 1), np.int64)
+    root[0, filled:left] = inst.scale // n
+    root[0, left] = row_sum
+    stack = [(root, 0)]  # (block, index of the next entry to fill)
     count = 0
-
-    def recurse(i, rem_cols, rows):
-        nonlocal count
-        if i == m - 1:
-            count += 1
-            if count > cap:
+    while stack:
+        block, e = stack.pop()
+        if e == filled:
+            k = len(block)
+            tables = block[:, :left].reshape(k, m, n)
+            if count + k > cap:
+                if cap > count:
+                    yield tables[:cap - count]
                 raise OracleCapExceeded(f"more than {cap} integral plans")
-            yield rows + (rem_cols,)
-            return
-        key = (i, rem_cols)
-        live = fills.get(key)
-        if live is None:
-            later = (m - i - 1) * row_sum  # most the rows after row i can take
-            lo = [max(0, r - later) for r in rem_cols]
-            hi = [min(r, row_sum) for r in rem_cols]
-            live = fills[key] = [
-                (row, tuple(r - q for r, q in zip(rem_cols, row)))
-                for row in _row_fills(row_sum, lo, hi)
-            ]
-        for row, rest in live:
-            yield from recurse(i + 1, rest, rows + (row,))
+            count += k
+            yield tables
+            continue
+        need = filled + e % n
+        if need == left - 1:  # the row's last entry takes what the row needs
+            block[:, e] = block[:, left]
+            block[:, need] -= block[:, left]
+            block[:, left] = row_sum
+            stack.append((block, e + 1))
+            continue
+        rest = block[:, left]
+        low = np.maximum(rest - np.add.reduce(block[:, need + 1:left], axis=1), 0)
+        stop = np.minimum(block[:, need], rest) + 1
+        counts = stop - low
+        ends = counts.cumsum()
+        if ends[-1] > _TABLE_BLOCK:
+            cut = max(1, int(np.searchsorted(ends, _TABLE_BLOCK, "right")))
+            if cut < len(block):
+                stack.append((block[cut:], e))
+                block, stop, counts, ends = block[:cut], stop[:cut], counts[:cut], ends[:cut]
+        grown = block.repeat(counts, axis=0)
+        values = np.arange(ends[-1]) - (ends - stop).repeat(counts)
+        grown[:, e] = values
+        grown[:, need] -= values
+        grown[:, left] -= values
+        stack.append((grown, e + 1))
 
-    try:
-        yield from recurse(0, (inst.scale // inst.n,) * inst.n, ())
-    finally:
-        # recurse refers to itself, so this frame waits for the cyclic
-        # collector; drop the memo now rather than let memos pile up
-        fills.clear()
+
+def _tables(inst: Instance, cap: int):
+    """Yield every table of ``_table_blocks`` lazily, as a tuple of row
+    tuples of Python ints, in the same order and under the same cap."""
+    for block in _table_blocks(inst, cap):
+        for rows in block.tolist():
+            yield tuple(map(tuple, rows))
 
 
 def _table_plan(inst: Instance, rows) -> TransportPlan:
@@ -110,29 +133,37 @@ def brute_force_solve(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     """Exact minimum over all integral plans, returning every argmin plan.
 
     Scaled objectives tie within TIE_TOL * S * max|c|, the tie rule applied
-    to sums of S costs: |scaled objective| <= S * max|c|.  Each table is
-    scored as ``scaled_objective`` scores its plan, summing c_ij * f_ij over
-    the positive entries in (i, j) order, and only the tables tied with the
-    best become plans.
+    to sums of S costs: |scaled objective| <= S * max|c|.  Each block of
+    tables is scored by one ``np.add.accumulate`` of c_ij * T_ij along every
+    table's entries in (i, j) order, a left fold with the bits of
+    ``scaled_objective``'s fold over the positive entries:
+
+    - every entry is at most S = lcm(m, n) <= m * n, exact in int64 and
+      float64, so each product is the same;
+    - a zero entry adds +-0.0, which changes no partial sum but a zero one;
+    - so the two folds agree in bits wherever a partial sum is nonzero, and
+      a zero total is +0.0 in ``scaled_objective``, which starts at +0.0;
+      the final ``+ 0.0`` makes the block's -0.0 (from -0.0 terms alone)
+      +0.0 too.
+
+    The scan for the best runs sequentially in table order, and only the
+    tables tied with the best become plans, their entries Python ints.
     """
     tie = TIE_TOL * inst.scale * inst.costs.max_abs
-    c = inst.costs.c.tolist()
+    c = inst.costs.c.ravel()
     best = None
-    optimal = []  # (scaled cost, table)
+    optimal = []  # (scaled cost, table rows)
     count = 0
-    for rows in _tables(inst, cap):
-        count += 1
-        cost = 0.0  # folded left, as scaled_objective sums
-        for crow, row in zip(c, rows):
-            for cij, f in zip(crow, row):
-                if f:
-                    cost += cij * f
-        if best is None or cost < best - tie:
-            best = cost
-            optimal = [t for t in optimal if t[0] <= best + tie]
-            optimal.append((cost, rows))
-        elif cost <= best + tie:
-            optimal.append((cost, rows))
+    for block in _table_blocks(inst, cap):
+        count += len(block)
+        costs = np.add.accumulate(block.reshape(len(block), -1) * c, axis=1)[:, -1] + 0.0
+        for r, cost in enumerate(costs.tolist()):
+            if best is None or cost < best - tie:
+                best = cost
+                optimal = [t for t in optimal if t[0] <= best + tie]
+                optimal.append((cost, block[r].tolist()))
+            elif cost <= best + tie:
+                optimal.append((cost, block[r].tolist()))
     if best is None:
         raise AssertionError("transportation problem is always feasible")
     return OracleResult(

@@ -542,12 +542,14 @@ def find_crossings(plan: TransportPlan):
     """All (i<i2, j<j2) quadruples where all four flows are positive.
 
     Only source pairs sharing two or more targets (``shared_targets``) yield
-    crossings.  A plan can have ~m^2 n^2 / 4 of them, so a caller that only
-    counts them reads ``analysis.pair_counts(plan).crossings`` instead.
+    crossings, so only those pairs are sorted and walked.  A plan can have
+    ~m^2 n^2 / 4 crossings, so a caller that only counts them reads
+    ``analysis.pair_counts(plan).crossings`` instead.
     """
+    pairs = sorted(item for item in shared_targets(plan).items() if len(item[1]) > 1)
     return [
         Crossing(i, i2, j, j2)
-        for (i, i2), common in sorted(shared_targets(plan).items())
+        for (i, i2), common in pairs
         for a, j in enumerate(common)
         for j2 in common[a + 1:]
     ]

@@ -434,6 +434,26 @@ def test_cli_experiment(tmp_path, capsys):
     assert len(summary["records"]) == 2
 
 
+def test_cli_experiment_rejects_ell_below_one(tmp_path, capsys):
+    out_dir = tmp_path / "exp"
+    for ell in ("0", "-3"):
+        assert main(["experiment", "--preset", "fig1", "--ell", ell,
+                     "--seeds", "1", "--out-dir", str(out_dir)]) == 1
+        assert "ell must be at least 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def test_cli_oracle_cap_counts_tables(tmp_path, capsys):
+    # a 3x4 instance has exactly 415 integral plans
+    inst_path = tmp_path / "x.json"
+    assert main(["gen", "--random-costs", "--m", "3", "--n", "4",
+                 "--out", str(inst_path)]) == 0
+    assert main(["oracle", "--instance", str(inst_path), "--cap", "415"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["enumerated"] == 415
+    assert main(["oracle", "--instance", str(inst_path), "--cap", "414"]) == 1
+    assert "more than 414 integral plans" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", "--instance", str(tmp_path / "missing.json")]) == 2
     inst_path = tmp_path / "inst.json"

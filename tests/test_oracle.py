@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -19,6 +20,7 @@ from otrigid import (
     objective,
     solve,
 )
+from otrigid import oracle
 from otrigid.instance import TIE_TOL
 from otrigid.io import plan_csv_lines
 from otrigid.oracle import DEFAULT_CAP, _tables
@@ -87,6 +89,7 @@ def test_brute_force_matches_plan_enumeration():
         assert brute_force_solve(inst) == _brute_force_from_plans(inst)
 
 
+@functools.cache
 def _tables_by_definition(m, n):
     """Every table in lexicographic order of its rows: itertools.product over
     each row's compositions of S/m, kept when its column sums are S/n."""
@@ -113,6 +116,50 @@ def test_tables_match_definition(m, n):
         with pytest.raises(OracleCapExceeded):
             got.extend(_tables(inst, len(want) - 1))
         assert got == want[:-1]
+
+
+SMALL_SHAPES = [(m, n) for m in range(1, 5) for n in range(1, 6) if m * n <= 16]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_tables_match_definition_in_small_blocks(monkeypatch, block):
+    # blocks that split at every level keep the order and the lazy cap
+    monkeypatch.setattr(oracle, "_TABLE_BLOCK", block)
+    for m, n in SMALL_SHAPES:
+        inst = Instance(CostMatrix(np.zeros((m, n))))
+        want = _tables_by_definition(m, n)
+        assert list(_tables(inst, DEFAULT_CAP)) == want
+        if len(want) > 1:
+            got = []
+            with pytest.raises(OracleCapExceeded):
+                got.extend(_tables(inst, len(want) - 1))
+            assert got == want[:-1]
+
+
+def _tie_heavy_costs():
+    rng = np.random.default_rng(11)
+    for shape in ((3, 4), (4, 3)):
+        yield np.full(shape, 0.7)
+        yield np.full(shape, -0.0)
+        yield rng.integers(0, 2, shape).astype(float)
+        yield rng.integers(0, 3, shape).astype(float)
+        yield -rng.integers(0, 3, shape).astype(float)
+        yield rng.random(shape) - 0.5
+        for k in (-40, 40):
+            yield rng.integers(0, 3, shape) * 2.0**k
+            yield rng.random(shape) * 2.0**k
+
+
+@pytest.mark.parametrize("block", [7, oracle._TABLE_BLOCK])
+def test_brute_force_matches_plan_enumeration_on_ties(monkeypatch, block):
+    # the block fold gives scaled_objective's bits, -0.0 included, and the
+    # tie scan keeps its order across block boundaries
+    monkeypatch.setattr(oracle, "_TABLE_BLOCK", block)
+    for c in _tie_heavy_costs():
+        inst = Instance(CostMatrix(c))
+        got, want = brute_force_solve(inst), _brute_force_from_plans(inst)
+        assert got == want
+        assert repr(got.min_cost) == repr(want.min_cost)
 
 
 # sha256 over brute_force_solve's min_cost repr, enumerated_count and the
@@ -194,3 +241,7 @@ def test_float_sums_fold_left():
     res = brute_force_solve(inst)
     assert res.optimal_plans == (plan,)
     assert res.min_cost == 0.0
+    # numpy's pairwise sum of these twelve terms would keep some of the ones
+    inst = Instance(CostMatrix(np.array([[1e16] + [1.0] * 10 + [-1e16]])))
+    res = brute_force_solve(inst)
+    assert res.min_cost == scaled_objective(inst, res.optimal_plans[0]) == 0.0
