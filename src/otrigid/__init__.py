@@ -15,7 +15,6 @@ from .analysis import (
 from .constructions import (
     PermutationDecomposition,
     birkhoff_decompose,
-    gcd_construct,
 )
 from .experiments import ExperimentSpec, run_experiment
 from .instance import (
@@ -41,11 +40,9 @@ from .io import (
 )
 from .oracle import OracleCapExceeded, OracleResult, brute_force_solve, enumerate_plans
 from .solver import (
-    Crossing,
     DualCertificate,
     SupportCycleError,
     TransportPlan,
-    find_crossings,
     objective,
     scaled_objective,
     solve,
@@ -56,7 +53,6 @@ from .svg import emit_svg
 
 __all__ = [
     "CostMatrix",
-    "Crossing",
     "DualCertificate",
     "ExperimentSpec",
     "GenericityReport",
@@ -75,8 +71,6 @@ __all__ = [
     "cost_from_points",
     "emit_svg",
     "enumerate_plans",
-    "find_crossings",
-    "gcd_construct",
     "gen_point_instance",
     "gen_points",
     "gen_random_costs",

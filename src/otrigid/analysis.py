@@ -3,7 +3,7 @@
 Fanout t_i counts distinct targets of source i, fanin l_j counts distinct
 sources of target j.  Each fanout splits as t_i = full_i + d_i: full_i
 targets that source i fills alone (f_ij = S/n, so full_i <= floor(n/m)) and
-d_i targets it shares with another source.  The three bound verdicts check,
+d_i targets it shares with another source.  The bound verdicts check,
 for a plan under generic costs:
 
   (1)  ceil(n/m) <= t_i <= floor(n/m) + m - 1   for every source,
@@ -16,7 +16,6 @@ integers decide exactly.  ``bound2_ok`` is the verdict for both.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .solver import TransportPlan, shared_targets
@@ -33,8 +32,6 @@ class RigidityReport:
     bound2_ok: bool  # bounds (2) and (3), one test
     lower: int  # ceil(n/m)
     upper1: int  # floor(n/m) + m - 1
-    upper2: float  # n/m + sqrt(n)
-    upper3: float  # 1 + m/sqrt(n)
 
     @property
     def t_min(self):
@@ -74,8 +71,6 @@ def rigidity_report(plan: TransportPlan) -> RigidityReport:
     support = len(plan.flows)
     lower = -(-n // m)  # ceil
     upper1 = n // m + m - 1
-    upper2 = n / m + math.sqrt(n)
-    upper3 = 1.0 + m / math.sqrt(n)
     bound1_ok = all(lower <= ti <= upper1 for ti in t)
     bound2_ok = support <= n or (support - n) ** 2 <= m * m * n
     return RigidityReport(
@@ -88,28 +83,22 @@ def rigidity_report(plan: TransportPlan) -> RigidityReport:
         bound2_ok=bound2_ok,
         lower=lower,
         upper1=upper1,
-        upper2=upper2,
-        upper3=upper3,
     )
 
 
 def pair_counts(plan: TransportPlan) -> PairCountReport:
     """Common-target counts per source pair, and the crossings they make.
 
-    ``total`` is cross-checked as sum C(l_j, 2).  A source pair with k common
-    targets makes C(k, 2) crossings, so ``crossings`` costs nothing beyond
-    the counts, however many crossings there are.
+    Each target j adds one to the count of each of the C(l_j, 2) source pairs
+    it serves, so ``total``, the sum of the counts, is sum_j C(l_j, 2).  A
+    source pair with k common targets makes C(k, 2) crossings, so
+    ``crossings`` costs nothing beyond the counts, however many crossings
+    there are.
     """
     counts = {pair: len(common) for pair, common in shared_targets(plan).items()}
-    ell = [0] * plan.n
-    for _, j, _ in plan.flows:
-        ell[j] += 1
-    total = sum(lj * (lj - 1) // 2 for lj in ell)
-    if total != sum(counts.values()):
-        raise AssertionError("pair-count double-counting identity violated")
     return PairCountReport(
         pair_counts=counts,
-        total=total,
+        total=sum(counts.values()),
         crossings=sum(k * (k - 1) // 2 for k in counts.values()),
         max_pair_count=max(counts.values(), default=0),
         pair_bound=plan.m * (plan.m - 1) // 2,

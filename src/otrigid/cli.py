@@ -10,8 +10,8 @@ import json
 import sys
 
 from . import instance as inst_mod
-from .analysis import pair_counts, rigidity_report
-from .constructions import birkhoff_decompose, gcd_construct
+from .analysis import pair_counts
+from .constructions import birkhoff_decompose
 from .experiments import ExperimentSpec, run_experiment
 from .io import (
     load_instance,
@@ -74,11 +74,6 @@ def _build_parser():
     p = sub.add_parser("uncross", help="repair crossings without increasing cost")
     p.add_argument("--instance", required=True)
     p.add_argument("--plan", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("gcd-construct",
-                       help="optimal plan checked against the gcd fanout/fanin bounds")
-    p.add_argument("--instance", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("birkhoff", help="decompose a square plan into permutations")
@@ -150,14 +145,6 @@ def _run(args) -> int:
         print(json.dumps({"objective_before": objective(inst, plan),
                           "objective_after": objective(inst, repaired),
                           "crossings_removed": pair_counts(plan).crossings}))
-        return 0
-    if cmd == "gcd-construct":
-        inst = load_instance(args.instance)
-        plan = gcd_construct(inst)
-        save_plan_csv(plan, args.out)
-        rep = rigidity_report(plan)
-        print(json.dumps({"objective": objective(inst, plan),
-                          "t_max": rep.t_max, "ell_max": max(rep.ell)}))
         return 0
     if cmd == "birkhoff":
         plan = load_plan_csv(args.plan)

@@ -124,7 +124,7 @@ def stats_dict(plan: TransportPlan) -> dict:
         "t_max": rep.t_max,
         "t_mean": rep.support_size / plan.m,
         "ell_mean": rep.support_size / plan.n,
-        "bounds": {"b1": rep.bound1_ok, "b2": rep.bound2_ok, "b3": rep.bound2_ok},
+        "bounds": {"b1": rep.bound1_ok, "b2": rep.bound2_ok},
         "crossings": pair_counts(plan).crossings,
     }
 

@@ -114,16 +114,6 @@ class DualCertificate:
     v: np.ndarray
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """A 2x2 all-positive sub-plan: sources i < i2 both feed targets j < j2."""
-
-    i: int
-    i2: int
-    j: int
-    j2: int
-
-
 class SupportCycleError(ValueError):
     """The plan's support contains a cycle, so it is not a basic solution."""
 
@@ -489,9 +479,9 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
         return None
     w += delta[comp]
     red = (c - w[:m, None]) + w[None, m:]
-    # once no reduced cost is below -abs_tol, the support is tight unless
-    # one of its reduced costs is above abs_tol
-    if red.min() < -abs_tol or red.take(arcs).max() > abs_tol:
+    # the support needs no tightness test: each support arc is a tree arc,
+    # which _tree_potentials makes tight, and delta shifts both its ends alike
+    if red.min() < -abs_tol:
         return None
     return DualCertificate(u=w[:m], v=0.0 - w[m:])  # 0.0 - w: v holds no -0.0
 
@@ -539,16 +529,18 @@ def shared_targets(plan: TransportPlan) -> dict:
 
 
 def find_crossings(plan: TransportPlan):
-    """All (i<i2, j<j2) quadruples where all four flows are positive.
+    """All (i, i2, j, j2) tuples, i < i2 and j < j2, whose four flows are positive.
 
     Only source pairs sharing two or more targets (``shared_targets``) yield
     crossings, so only those pairs are sorted and walked.  A plan can have
     ~m^2 n^2 / 4 crossings, so a caller that only counts them reads
-    ``analysis.pair_counts(plan).crossings`` instead.
+    ``analysis.pair_counts(plan).crossings`` instead.  The library itself
+    only counts; this list is kept for bench/workloads.py and as the tests'
+    reference for ``uncross``.
     """
     pairs = sorted(item for item in shared_targets(plan).items() if len(item[1]) > 1)
     return [
-        Crossing(i, i2, j, j2)
+        (i, i2, j, j2)
         for (i, i2), common in pairs
         for a, j in enumerate(common)
         for j2 in common[a + 1:]

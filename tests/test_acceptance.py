@@ -17,10 +17,8 @@ import pytest
 from otrigid import (
     ExperimentSpec,
     brute_force_solve,
-    find_crossings,
     gen_point_instance,
     gen_random_costs,
-    gcd_construct,
     genericity_check,
     load_plan_csv,
     objective,
@@ -34,8 +32,10 @@ from otrigid import (
     uncross,
     TransportPlan,
 )
+from otrigid.constructions import gcd_construct
 from otrigid.experiments import build_instance
 from otrigid.io import plan_csv_lines
+from otrigid.solver import find_crossings
 
 REL = 1e-12
 

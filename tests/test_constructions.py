@@ -12,11 +12,11 @@ from otrigid import (
     cost_from_points,
     gen_points,
     gen_random_costs,
-    gcd_construct,
     objective,
     rigidity_report,
     solve,
 )
+from otrigid.constructions import gcd_construct
 from otrigid.io import decomposition_to_dict
 
 

@@ -136,7 +136,7 @@ def test_stats_json_roundtrip(tmp_path):
     data = json.loads(first)
     assert data["m"] == 3 and data["n"] == 8
     assert sum(data["t"]) == data["support_size"] == sum(data["ell"])
-    assert set(data["bounds"]) == {"b1", "b2", "b3"}
+    assert set(data["bounds"]) == {"b1", "b2"}
     # re-emit from parsed values must be byte-identical
     reemitted = (json.dumps(data, sort_keys=True) + "\n").encode()
     assert reemitted == first
@@ -228,30 +228,67 @@ def test_svg_digest():
 # sha256 over the files run_experiment writes for fig1 ell=10 s0-9 (plan CSVs,
 # stats JSON, SVGs and summary.json), each as name, NUL, bytes, in name order;
 # the emitted bytes must not change
-EXPERIMENT_DIGEST = "350b1eb0697662626002c64ce4418bcbd6c712cde34dbefcfdec84ea2c97372c"
+EXPERIMENT_DIGEST = "3a5fdca8661d6e91fec9f19cf23ae920e5b7220dfbb89b1d5a7bf689ceb9f6d4"
 
 
 # The same over the files run_experiment writes for sec22 s0-2 (plan CSVs,
 # stats JSON and summary.json; random costs have no SVG)
-SEC22_EXPERIMENT_DIGEST = "d522b20bcd9695b688d358ca40c78ff0368fd6619c74d7bdec5677229cc6777c"
+SEC22_EXPERIMENT_DIGEST = "c7ef3c8b73b9b12c61372283c5c68fc4cd59e19aa9125bab7c905beea409d1d0"
 
 
-def _output_digest(out_dir):
+# The two digests above as they were while the stats JSON also wrote "b3", a
+# copy of the "b2" verdict: putting that key back must give them again, so
+# dropping it is the only change to the experiment files.
+EXPERIMENT_DIGEST_WITH_B3 = "350b1eb0697662626002c64ce4418bcbd6c712cde34dbefcfdec84ea2c97372c"
+SEC22_EXPERIMENT_DIGEST_WITH_B3 = "d522b20bcd9695b688d358ca40c78ff0368fd6619c74d7bdec5677229cc6777c"
+
+
+def _with_b3(path):
+    """A stats JSON or summary.json file's bytes with "b3" put back beside "b2"."""
+    data = json.loads(path.read_bytes())
+    summary = path.name == "summary.json"
+    for stats in [r["stats"] for r in data["records"]] if summary else [data]:
+        stats["bounds"]["b3"] = stats["bounds"]["b2"]
+    return (json.dumps(data, sort_keys=True, indent=1 if summary else None) + "\n").encode()
+
+
+def _output_digest(out_dir, with_b3=False):
     h = hashlib.sha256()
     files = sorted(out_dir.iterdir())
     for path in files:
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
+        data = _with_b3(path) if with_b3 and path.suffix == ".json" else path.read_bytes()
+        h.update(path.name.encode() + b"\0" + data)
     return len(files), h.hexdigest()
 
 
 def test_experiment_output_digest(tmp_path):
     run_experiment(ExperimentSpec("fig1", out_dir=str(tmp_path), ell=10))
     assert _output_digest(tmp_path) == (31, EXPERIMENT_DIGEST)
+    assert _output_digest(tmp_path, with_b3=True) == (31, EXPERIMENT_DIGEST_WITH_B3)
 
 
 def test_experiment_output_digest_sec22(tmp_path):
     run_experiment(ExperimentSpec("sec22", out_dir=str(tmp_path), seeds=(0, 1, 2)))
     assert _output_digest(tmp_path) == (7, SEC22_EXPERIMENT_DIGEST)
+    assert _output_digest(tmp_path, with_b3=True) == (7, SEC22_EXPERIMENT_DIGEST_WITH_B3)
+
+
+# fig1 ell=10 seed 0's stats JSON as it was written with the "b3" key
+FIG1_S0_STATS_WITH_B3 = (
+    '{"bounds": {"b1": true, "b2": true, "b3": true}, "crossings": 0, '
+    '"ell": [1, 2, 1, 1, 2, 1, 1, 1, 1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1, 1, '
+    '2, 1, 1, 1, 1, 2, 1, 2, 1, 2], "ell_mean": 1.3666666666666667, "m": '
+    '20, "n": 30, "support_size": 41, "t": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, '
+    '2, 2, 2, 2, 3, 2, 2, 2, 2, 2], "t_max": 3, "t_mean": 2.05, "t_min": '
+    '2}'
+)
+
+
+def test_stats_json_is_old_payload_without_b3(tmp_path):
+    run_experiment(ExperimentSpec("fig1", out_dir=str(tmp_path), ell=10, seeds=(0,)))
+    old = json.loads(FIG1_S0_STATS_WITH_B3)
+    del old["bounds"]["b3"]
+    assert (tmp_path / "seed0000_stats.json").read_text() == json.dumps(old, sort_keys=True) + "\n"
 
 
 def test_svg_requires_2d_geometry():
@@ -271,7 +308,7 @@ def test_experiment_fig1_record(tmp_path):
     assert summary["m"] == 20 and summary["n"] == 30
     rec = summary["records"][0]
     b = rec["stats"]["bounds"]
-    assert b["b1"] and b["b2"] and b["b3"]
+    assert b["b1"] and b["b2"]
     out = tmp_path / "fig1"
     assert (out / "seed0000_plan.csv").exists()
     assert (out / "seed0000_stats.json").exists()
@@ -360,9 +397,6 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert main(["plot", "--instance", str(inst_path), "--plan", str(plan_path),
                  "--out", str(svg_path)]) == 0
     assert svg_path.read_text().startswith("<svg")
-    gcd_path = tmp_path / "gcd_plan.csv"
-    assert main(["gcd-construct", "--instance", str(inst_path),
-                 "--out", str(gcd_path)]) == 0
     out_path = tmp_path / "uncrossed.csv"
     assert main(["uncross", "--instance", str(inst_path), "--plan", str(plan_path),
                  "--out", str(out_path)]) == 0
@@ -394,7 +428,7 @@ def test_cli_on_dense_product_plan(tmp_path, capsys):
     save_plan_csv(plan, plan_path)
     assert main(["analyze", "--instance", str(inst_path), "--plan", str(plan_path)]) == 0
     assert capsys.readouterr().out == json.dumps({
-        "bounds": {"b1": False, "b2": False, "b3": False}, "crossings": 639600,
+        "bounds": {"b1": False, "b2": False}, "crossings": 639600,
         "ell": [40] * 41, "ell_mean": 40.0, "m": 40, "n": 41, "support_size": 1640,
         "t": [41] * 40, "t_max": 41, "t_mean": 41.0, "t_min": 41,
     }) + "\n"

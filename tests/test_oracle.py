@@ -14,7 +14,6 @@ from otrigid import (
     TransportPlan,
     brute_force_solve,
     enumerate_plans,
-    find_crossings,
     gen_random_costs,
     genericity_check,
     objective,
@@ -24,7 +23,7 @@ from otrigid import oracle
 from otrigid.instance import TIE_TOL
 from otrigid.io import plan_csv_lines
 from otrigid.oracle import DEFAULT_CAP, _tables
-from otrigid.solver import scaled_objective
+from otrigid.solver import find_crossings, scaled_objective
 
 C23 = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
 

@@ -17,7 +17,6 @@ from otrigid import (
     brute_force_solve,
     cost_from_points,
     enumerate_plans,
-    find_crossings,
     gen_random_costs,
     genericity_check,
     objective,
@@ -32,6 +31,7 @@ from otrigid.solver import (
     _least_cost_basis,
     _perturbed_marginals,
     _solve_difference_constraints,
+    find_crossings,
     scaled_objective,
 )
 from otrigid.svg import svg_document
@@ -344,10 +344,7 @@ def test_verify_matches_definition_on_every_plan(kind):
 
 def test_find_crossings_full_2x2():
     plan = TransportPlan(2, 2, 4, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
-    crossings = find_crossings(plan)
-    assert len(crossings) == 1
-    x = crossings[0]
-    assert (x.i, x.i2, x.j, x.j2) == (0, 1, 0, 1)
+    assert find_crossings(plan) == [(0, 1, 0, 1)]
 
 
 def _brute_force_crossings(plan):
@@ -371,7 +368,7 @@ def test_find_crossings_matches_brute_force(m, n, seed, density):
         plan = TransportPlan(m, n, m * n, tuple((i, j, 1) for i in range(m) for j in range(n)))
     else:
         plan = _random_sparse_plan(rng, m, n, math.ceil(density * m * n / (m + n - 1)))
-    got = [(x.i, x.i2, x.j, x.j2) for x in find_crossings(plan)]
+    got = find_crossings(plan)
     assert got == _brute_force_crossings(plan)
     # pair_counts reads the same source-pair index, and counts the same crossings
     pos = plan.flow_dict()
@@ -380,6 +377,9 @@ def test_find_crossings_matches_brute_force(m, n, seed, density):
     rep = pair_counts(plan)
     assert rep.pair_counts == {k: v for k, v in common.items() if v}
     assert rep.crossings == len(got)
+    # double counting: the common-target counts sum to sum_j C(l_j, 2)
+    ell = [sum((i, j) in pos for i in range(m)) for j in range(n)]
+    assert rep.total == sum(math.comb(lj, 2) for lj in ell)
     if density == 1.0:
         assert len(got) == math.comb(m, 2) * math.comb(n, 2)
 
@@ -518,7 +518,7 @@ def _uncross_by_definition(inst, plan):
         crossings = find_crossings(cur)
         if not crossings:
             return cur
-        i, i2, j, j2 = crossings[0].i, crossings[0].i2, crossings[0].j, crossings[0].j2
+        i, i2, j, j2 = crossings[0]
         diag, anti = ((i, j), (i2, j2)), ((i, j2), (i2, j))
         gain = (c[i, j] + c[i2, j2]) - (c[i, j2] + c[i2, j])
         if abs(gain) <= tie_tol:
