@@ -47,6 +47,14 @@ MAX_ABS_COST = 2.0**996
 # ~m^2 n^2 / 4 of them, so the list stops here; the verdict stays exact.
 VIOLATION_LIST_LIMIT = 10_000
 
+# Cost differences the genericity scan sorts per numpy pass: a block of source
+# rows against every later source, at most 128 KiB of float64, so it stays in
+# L2. A block never holds less than one source row. At 1 << 15 (256 KiB) each
+# block's arrays crossed glibc's default 128 KiB mmap threshold and came back
+# as fresh pages: inside a fig1 ell=20 run_seed that cost ~96 minor page
+# faults per scan and most of the gain.
+_SCAN_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
@@ -147,7 +155,8 @@ class Instance:
                 raise ValueError("geometry size does not match cost matrix")
             expected = _power_distance_matrix(g.sources.points, g.targets.points, g.p)
             atol = TIE_TOL * self.costs.max_abs
-            if not np.allclose(self.costs.c, expected, rtol=0.0, atol=atol):
+            # an inf or nan distance fails too: the max is then inf or nan
+            if not np.abs(self.costs.c - expected).max() <= atol:
                 raise ValueError("costs are inconsistent with geometry")
 
 
@@ -166,9 +175,18 @@ class GenericityReport:
 
 
 def _power_distance_matrix(x, y, p):
-    diff = x[:, None, :] - y[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    return dist**p
+    """||x_i - y_j||^p, the squared differences summed left to right.
+
+    One coordinate at a time needs no (m, n, d) array.  For d < 8 the bits
+    are those of ``np.sum`` over the coordinate axis, which folds so few
+    terms left to right too; from d = 8 on numpy sums pairwise instead.
+    """
+    sq = np.zeros((len(x), len(y)))
+    for k in range(x.shape[1]):
+        diff = x[:, None, k] - y[None, :, k]
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq) ** p
 
 
 def gen_points(dist, count, dim, seed):
@@ -239,9 +257,10 @@ def genericity_check(inst: Instance, tol: float = TIE_TOL) -> GenericityReport:
     """Exact scan of quadruples (i<j, k<l) for |c_ik + c_jl - c_il - c_jk| <= tol*max|c|.
 
     With d = c_i - c_j, a quadruple is a near-tie when |d_k - d_l| <= tol*max|c|.
-    For each i the differences to every j > i are sorted at once; only source
-    pairs whose sorted d has an adjacent gap within tolerance can hold a
-    near-tie, because rounded subtraction is monotone: any sorted window
+    The differences of a block of sources to every later source are sorted at
+    once (``_SCAN_BLOCK`` entries per block).  Only source pairs whose sorted
+    d has an adjacent gap within tolerance can hold a near-tie, because
+    rounded subtraction is monotone: any sorted window
     ds[hi] - ds[lo] <= tol*max|c| contains such a gap.  Only those pairs get the
     two-pointer sweep, started only at such gaps, so the scan is exact and costs
     O(m^2 n log n) plus the violations it lists.
@@ -266,20 +285,40 @@ def genericity_check(inst: Instance, tol: float = TIE_TOL) -> GenericityReport:
 def _collect_near_ties(c, abs_tol, out):
     """Append near-ties (i, j, k, l) to ``out``; True when the list limit cut the scan."""
     m, n = c.shape
-    for i in range(m - 1):
-        d = c[i] - c[i + 1:]
-        close = np.diff(np.sort(d, axis=1), axis=1) <= abs_tol
-        # a generic instance flags no row, so only flagged rows pay for the
-        # indirect sort that names the targets
-        for r in np.flatnonzero(close.any(axis=1)):
-            j = i + 1 + int(r)
-            perm = np.argsort(d[r], kind="stable")
-            row = d[r][perm]
+    b = 0
+    while b < m - 1:
+        # sources a..b-1 against every later source in one (rows, later, n)
+        # block, each pair's n differences sorted in place
+        a = b
+        later = m - 1 - a
+        b = min(m - 1, a + max(1, _SCAN_BLOCK // (later * n)))
+        d3 = c[a:b, None, :] - c[None, a + 1:, :]
+        d3.sort(axis=-1)
+        # close gaps of the flat block; a gap across a row end is no gap
+        flat = d3.reshape(-1)
+        gaps = np.flatnonzero(flat[1:] - flat[:-1] <= abs_tol)
+        if not gaps.size:
+            continue  # the common case: a generic block flags nothing
+        gaps = gaps[gaps % n != n - 1]
+        pair, start = np.divmod(gaps, n)
+        # block pair (r, s) is i = a + r, j = a + 1 + s; those with j <= i
+        # (s < r) are dropped
+        keep = pair % later >= pair // later
+        pair, start = pair[keep], start[keep]
+        # only flagged pairs pay for the indirect sort that names the
+        # targets; they come in (i, j) order
+        flagged, first = np.unique(pair, return_index=True)
+        for p, starts in zip(flagged.tolist(), np.split(start, first[1:])):
+            r, s = divmod(p, later)
+            i, j = a + r, a + 1 + s
+            d = c[i] - c[j]
+            perm = np.argsort(d, kind="stable")
+            row = d[perm]
             # two-pointer sweep over sorted differences: all (k, l) with
             # |d_k - d_l| <= abs_tol appear as pairs inside a sliding window,
             # and a window can only start where the next gap is close
             hi = 0
-            for lo in np.flatnonzero(close[r]):
+            for lo in starts.tolist():
                 if hi < lo + 1:
                     hi = lo + 1
                 while hi < n and row[hi] - row[lo] <= abs_tol:

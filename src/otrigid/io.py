@@ -47,8 +47,7 @@ def instance_from_dict(data: dict) -> Instance:
 
 def save_instance(inst: Instance, path):
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh)
-        fh.write("\n")
+        fh.write(json.dumps(instance_to_dict(inst)) + "\n")
 
 
 def load_instance(path) -> Instance:
@@ -80,14 +79,20 @@ def load_plan_csv(path, m=None, n=None, scale=None) -> TransportPlan:
     """
     masses = []
     with open(path) as fh:
-        reader = csv.DictReader(fh)
-        if not {"i", "j", "num", "den"} <= set(reader.fieldnames or ()):
+        reader = csv.reader(fh)
+        header = next(reader, ())
+        if not {"i", "j", "num", "den"} <= set(header):
             raise ValueError("plan CSV header must name the columns i, j, num and den")
+        # a repeated column name means its last column
+        col = {name: k for k, name in enumerate(header)}
+        ci, cj, cnum, cden = col["i"], col["j"], col["num"], col["den"]
         for row in reader:
+            if not row:
+                continue  # a blank line
             try:
-                i, j = int(row["i"]), int(row["j"])
-                num, den = int(row["num"]), int(row["den"])
-            except (TypeError, ValueError):
+                i, j = int(row[ci]), int(row[cj])
+                num, den = int(row[cnum]), int(row[cden])
+            except (IndexError, ValueError):  # IndexError: a short row
                 raise ValueError(
                     f"plan CSV line {reader.line_num}: i, j, num, den must be integers"
                 ) from None
@@ -132,8 +137,7 @@ def stats_dict(plan: TransportPlan) -> dict:
 def save_stats_json(stats: dict, path):
     """Write a ``stats_dict`` payload as the stats JSON file."""
     with open(path, "w") as fh:
-        json.dump(stats, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(stats, sort_keys=True) + "\n")
 
 
 def decomposition_to_dict(dec: PermutationDecomposition) -> dict:
@@ -164,5 +168,4 @@ def decomposition_from_dict(data: dict) -> PermutationDecomposition:
 
 def save_decomposition_json(dec: PermutationDecomposition, path):
     with open(path, "w") as fh:
-        json.dump(decomposition_to_dict(dec), fh)
-        fh.write("\n")
+        fh.write(json.dumps(decomposition_to_dict(dec)) + "\n")

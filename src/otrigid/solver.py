@@ -472,13 +472,23 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
     # shift tree k's potentials by delta_k: constraints
     # delta_a - delta_b <= min reduced cost over (i in a, j in b)
     ntree = parent.count(-1)
-    bound = np.full((ntree, ntree), np.inf)
-    np.minimum.at(bound, (comp[:m, None], comp[None, m:]), red)
-    delta = _solve_difference_constraints(bound, abs_tol)
-    if delta is None:
-        return None
-    w += delta[comp]
-    red = (c - w[:m, None]) + w[None, m:]
+    if ntree == 1:
+        # one tree leaves no shift to fix: delta = 0, and red stands
+        w += 0.0  # as w += delta[comp] below would with delta = 0
+    else:
+        # one minimum per (source tree, target tree) block of red, with rows
+        # and columns grouped by tree; every tree holds a source and a
+        # target, because the plan is feasible, so no block is empty
+        rows = np.argsort(comp[:m], kind="stable")
+        cols = np.argsort(comp[m:], kind="stable")
+        trees = np.arange(ntree)
+        bound = np.minimum.reduceat(red[rows], comp[:m][rows].searchsorted(trees), axis=0)
+        bound = np.minimum.reduceat(bound[:, cols], comp[m:][cols].searchsorted(trees), axis=1)
+        delta = _solve_difference_constraints(bound, abs_tol)
+        if delta is None:
+            return None
+        w += delta[comp]
+        red = (c - w[:m, None]) + w[None, m:]
     # the support needs no tightness test: each support arc is a tree arc,
     # which _tree_potentials makes tight, and delta shifts both its ends alike
     if red.min() < -abs_tol:
@@ -490,21 +500,22 @@ def _solve_difference_constraints(w, abs_tol):
     """Bellman-Ford for delta_a - delta_b <= w[a, b]; None if infeasible."""
     k = w.shape[0]
     diag = np.diagonal(w)
-    if np.any(diag < -abs_tol):
+    if (diag < -abs_tol).any():
         return None  # reduced cost negative inside a component
     w = w.copy()
     np.fill_diagonal(w, np.maximum(diag, 0.0))
     delta = np.zeros(k)
+    paths = np.empty_like(w)  # paths[a, b] = delta_b + w[a, b], reused by every sweep
     for _ in range(k):
         # relax: delta_a <= delta_b + w[a, b]
-        best = np.min(delta[None, :] + w, axis=1)
-        if not np.any(best < delta):
+        best = np.add(delta, w, out=paths).min(axis=1)
+        if not (best < delta).any():
             return delta
-        delta = np.minimum(delta, best)
+        np.minimum(delta, best, out=delta)
     # one more sweep: any further strict improvement beyond tolerance means
     # a negative cycle, i.e. the plan is not optimal
-    best = np.min(delta[None, :] + w, axis=1)
-    if np.any(best < delta - abs_tol):
+    best = np.add(delta, w, out=paths).min(axis=1)
+    if (best < delta - abs_tol).any():
         return None
     return delta
 

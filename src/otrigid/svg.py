@@ -15,8 +15,10 @@ VIEWPORT = 800.0
 MARGIN = 0.05
 
 
-def _fmt(x):
-    return f"{x:.3f}"
+def _fmt(values):
+    """Each value with three decimals (the text of f"{x:.3f}"), all in one
+    string operation."""
+    return ("%.3f " * len(values) % tuple(values)).split()
 
 
 def svg_document(inst: Instance, plan: TransportPlan) -> str:
@@ -36,7 +38,10 @@ def svg_document(inst: Instance, plan: TransportPlan) -> str:
 
     frac = (pts - lo) / span
     frac[:, 1] = 1.0 - frac[:, 1]  # y up in data coords
-    xy = (VIEWPORT * MARGIN + frac * inner).tolist()
+    # each point's coordinates are formatted once, for its circle and for
+    # every line that ends at it
+    xy = _fmt((VIEWPORT * MARGIN + frac * inner).ravel().tolist())
+    xy = list(zip(xy[0::2], xy[1::2]))
     src_xy, tgt_xy = xy[: len(src)], xy[len(src):]
 
     parts = [
@@ -44,18 +49,21 @@ def svg_document(inst: Instance, plan: TransportPlan) -> str:
         f'height="{VIEWPORT:.0f}" viewBox="0 0 {VIEWPORT:.0f} {VIEWPORT:.0f}">',
         f'<rect width="{VIEWPORT:.0f}" height="{VIEWPORT:.0f}" fill="white"/>',
     ]
+    # 4 times the fraction of source i's mass, formatted once per flow value:
+    # most flows of a plan carry one of a few values
+    flows = list({f for _, _, f in plan.flows})
+    width = dict(zip(flows, _fmt([4.0 * f * plan.m / plan.scale for f in flows])))
     for i, j, f in plan.flows:
-        width = 4.0 * f * plan.m / plan.scale  # fraction of source i's mass
         x1, y1 = src_xy[i]
         x2, y2 = tgt_xy[j]
         parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="black" stroke-width="{_fmt(width)}" stroke-opacity="0.6"/>'
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="black" stroke-width="{width[f]}" stroke-opacity="0.6"/>'
         )
     for x, y in src_xy:
-        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" fill="red"/>')
+        parts.append(f'<circle cx="{x}" cy="{y}" r="5" fill="red"/>')
     for x, y in tgt_xy:
-        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="blue"/>')
+        parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="blue"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

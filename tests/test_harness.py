@@ -110,6 +110,77 @@ def test_plan_csv_load_rejects_infeasible(tmp_path):
         load_plan_csv(path, m=1, n=1)
 
 
+def _load_plan_csv_dictreader(path, m=None, n=None, scale=None):
+    # the csv.DictReader reader that load_plan_csv must match, message and
+    # line number included
+    import csv
+
+    masses = []
+    with open(path) as fh:
+        reader = csv.DictReader(fh)
+        if not {"i", "j", "num", "den"} <= set(reader.fieldnames or ()):
+            raise ValueError("plan CSV header must name the columns i, j, num and den")
+        for row in reader:
+            try:
+                i, j = int(row["i"]), int(row["j"])
+                num, den = int(row["num"]), int(row["den"])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"plan CSV line {reader.line_num}: i, j, num, den must be integers"
+                ) from None
+            if not den:
+                raise ValueError(f"plan CSV line {reader.line_num}: den is 0")
+            masses.append((i, j, num, den))
+    if not masses:
+        raise ValueError("plan CSV has no support entries")
+    if m is None:
+        m = max(i for i, _, _, _ in masses) + 1
+    if n is None:
+        n = max(j for _, j, _, _ in masses) + 1
+    if scale is None:
+        scale = math.lcm(math.lcm(m, n),
+                         *(abs(den) // math.gcd(num, den) for _, _, num, den in masses))
+    flows = []
+    for i, j, num, den in masses:
+        if num * scale % den:
+            raise ValueError(f"mass at ({i},{j}) is not integral at scale {scale}")
+        flows.append((i, j, num * scale // den))
+    return TransportPlan(m, n, scale, tuple(flows))
+
+
+PLAN_CSV_EDGE_CASES = {
+    "plain": "i,j,num,den\n0,0,1,2\n1,1,1,2\n",
+    "blank lines": "i,j,num,den\n\n0,0,1,2\n\n\n1,1,1,2\n\n",
+    "blank lines, then a short row": "i,j,num,den\n0,0,1,2\n\n\n1,1,1\n",
+    "blank lines, then den 0": "i,j,num,den\n0,0,1,2\n\n1,1,1,0\n",
+    "crlf": "i,j,num,den\r\n0,0,1,2\r\n\r\n1,1,1,2\r\n",
+    "reordered and extra columns": "den,x,j,num,i\n2,a,0,1,0\n2,b,1,1,1\n",
+    "extra column, short row": "i,j,num,den,x\n0,0,1,2\n1,1,1,2,z,extra\n",
+    "duplicated column": "i,j,num,den,j\n0,5,1,2,0\n1,5,1,2,1\n",
+    "duplicated column, short row": "i,j,num,den,i\n0,0,1,2,0\n1,1,1,2\n",
+    "short row": "i,j,num,den\n0,0,1,2\n1,1\n",
+    "header only": "i,j,num,den\n",
+    "empty file": "",
+    "blank header": "\ni,j,num,den\n0,0,1,1\n",
+    "quoted numbers": 'i,j,num,den\n"0","0","1","2"\n1,1,"1",2\n',
+    "quoted field over two lines": 'i,j,num,den\n0,0,1,"2\n"\n1,x,1,2\n',
+    "not a number": "i,j,num,den\n0,0,1,2\n1,1,one,2\n",
+}
+
+
+@pytest.mark.parametrize("body", PLAN_CSV_EDGE_CASES.values(), ids=PLAN_CSV_EDGE_CASES.keys())
+def test_plan_csv_load_matches_dictreader(tmp_path, body):
+    path = tmp_path / "plan.csv"
+    path.write_bytes(body.encode())
+    results = []
+    for load in (load_plan_csv, _load_plan_csv_dictreader):
+        try:
+            results.append(load(path))
+        except ValueError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+
+
 def test_plan_csv_reread_marginals(tmp_path):
     inst = gen_random_costs(4, 10, 5)
     plan = solve(inst)

@@ -19,7 +19,8 @@ from otrigid import (
     perturb,
     solve,
 )
-from otrigid.instance import MAX_ABS_COST, VIOLATION_LIST_LIMIT
+from otrigid import instance as instance_mod
+from otrigid.instance import MAX_ABS_COST, TIE_TOL, VIOLATION_LIST_LIMIT, Geometry
 from otrigid.io import instance_from_dict, instance_to_dict
 
 
@@ -200,6 +201,106 @@ def test_genericity_matches_brute_force():
             rep = genericity_check(Instance(CostMatrix(c)), tol=tol)
             assert not rep.truncated
             assert rep.violations == _brute_force_near_ties(c, tol), (c.shape, tol)
+
+
+def _per_pair_near_ties(c, abs_tol, limit):
+    """Reference scan, one source pair at a time in (i, j) order: every sorted
+    position lo, then every later position within abs_tol of it."""
+    m, n = c.shape
+    out = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = c[i] - c[j]
+            perm = np.argsort(d, kind="stable")
+            row = d[perm]
+            for lo in range(n):
+                t = lo + 1
+                while t < n and row[t] - row[lo] <= abs_tol:
+                    if len(out) == limit:
+                        return out, True
+                    k, l = sorted((int(perm[lo]), int(perm[t])))
+                    out.append((i, j, k, l))
+                    t += 1
+    return out, False
+
+
+def _scan_block_corpus():
+    rng = np.random.default_rng(17)
+    shapes = ((1, 1), (1, 5), (5, 1), (2, 2), (3, 4), (4, 3), (6, 9), (9, 4))
+    for m, n in shapes:
+        yield np.zeros((m, n))
+        yield rng.integers(0, 3, (m, n)).astype(float)
+        x = rng.integers(0, 3, (m, 2)).astype(float)
+        y = rng.integers(0, 3, (n, 2)).astype(float)
+        yield cost_from_points(PointCloud(x), PointCloud(y), 1.0).costs.c
+    yield gen_point_instance("uniform-square", 8, 12, 1.0, 3).costs.c
+
+
+@pytest.mark.parametrize("limit", [VIOLATION_LIST_LIMIT, 5])
+def test_genericity_blocked_scan_matches_per_pair_scan(monkeypatch, limit):
+    # any block size gives the reference's violations, in its order, and
+    # stops at the same one when the list limit is small
+    monkeypatch.setattr(instance_mod, "VIOLATION_LIST_LIMIT", limit)
+    for c in _scan_block_corpus():
+        m, n = c.shape
+        abs_tol = TIE_TOL * float(np.max(np.abs(c)))
+        want = _per_pair_near_ties(c, abs_tol, limit)
+        for block in (1, 7, m * n, 1 << 20):
+            monkeypatch.setattr(instance_mod, "_SCAN_BLOCK", block)
+            got = []
+            truncated = instance_mod._collect_near_ties(c, abs_tol, got)
+            assert (got, truncated) == want, (c.shape, block)
+            rep = genericity_check(Instance(CostMatrix(c)))
+            assert rep.violations == tuple(sorted(want[0]))
+            assert rep.truncated == want[1]
+
+
+def _broadcast_power_distance(x, y, p):
+    # the (m, n, d) broadcast-and-sum form the one-coordinate-at-a-time
+    # accumulation must reproduce
+    diff = x[:, None, :] - y[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2)) ** p
+
+
+@pytest.mark.parametrize("m,n", [(40, 60), (50, 2222)])  # fig1 ell=20 and fig2
+def test_power_distance_keeps_its_bits(m, n):
+    for dim in (1, 2, 3):
+        x = gen_points("uniform-square", m, dim, dim).points
+        y = gen_points("gaussian", n, dim, dim + 10).points
+        for p in (0.5, 1.0, 2.0, 3.0):
+            got = instance_mod._power_distance_matrix(x, y, p)
+            assert got.tobytes() == _broadcast_power_distance(x, y, p).tobytes(), (dim, p)
+
+
+def test_geometry_check_verdict_matches_allclose():
+    x = gen_points("uniform-square", 3, 2, 0)
+    y = gen_points("uniform-square", 4, 2, 1)
+    inst = cost_from_points(x, y, 2.0)
+    atol = TIE_TOL * inst.costs.max_abs
+    costs = [inst.costs.c + k * atol for k in (0.0, 0.5, 3.0)]
+    bad = inst.costs.c.copy()
+    bad[2, 3] = 2.0
+    costs.append(bad)
+    pts = x.points.copy()
+    geometries = [inst.geometry]
+    for value in (np.inf, np.nan):
+        pts[1, 0] = value
+        geometries.append(Geometry(PointCloud(pts), y, 2.0))
+    for c in costs:
+        for g in geometries:
+            ok = np.allclose(c, instance_mod._power_distance_matrix(
+                g.sources.points, g.targets.points, 2.0), rtol=0.0, atol=atol)
+            if ok:
+                Instance(CostMatrix(c), g)
+            else:
+                with pytest.raises(ValueError, match="inconsistent with geometry"):
+                    Instance(CostMatrix(c), g)
+    # the mismatch, inf and nan cases are all refused
+    with pytest.raises(ValueError):
+        Instance(CostMatrix(bad), inst.geometry)
+    for g in geometries[1:]:
+        with pytest.raises(ValueError):
+            Instance(inst.costs, g)
 
 
 def test_genericity_list_truncated_on_all_zero():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from otrigid import (
     CostMatrix,
+    ExperimentSpec,
     Instance,
     PointCloud,
     SupportCycleError,
@@ -25,6 +26,7 @@ from otrigid import (
     uncross,
     verify_optimality,
 )
+from otrigid.experiments import build_instance
 from otrigid.instance import TIE_TOL
 from otrigid.io import plan_csv_lines
 from otrigid.solver import (
@@ -301,6 +303,42 @@ def test_verify_disconnected_support():
     cert = verify_optimality(inst, plan)
     assert cert is not None
     _assert_certifies(inst, plan, cert)
+
+
+# SHA-256 of u and v bytes over _certificate_corpus(), as the certificate gave
+# them when every support went through the difference constraints
+CERTIFICATE_DIGEST = "1b1c35d16d97cd92bd6bdc3968a83728b5a5b9904bb771876877c63cc51c0f3c"
+
+
+def _certificate_corpus():
+    for m, n in itertools.product((2, 3), (2, 3, 4)):
+        yield Instance(CostMatrix(np.zeros((m, n))))  # zero potentials, signed zeros
+        for seed in range(10):
+            yield gen_random_costs(m, n, seed)
+    for seed in range(3):
+        yield build_instance(ExperimentSpec("sec22", ""), seed)
+    for seed in range(4):
+        yield build_instance(ExperimentSpec("fig1", "", ell=20), seed)
+
+
+def test_verify_certificate_bytes_pinned():
+    # a one-tree support skips the difference constraints, whose only shift
+    # is then delta = 0; u and v keep their bits, signed zeros included, and
+    # the multi-tree supports of fig1 ell=20 keep the general path
+    h = hashlib.sha256()
+    one_tree = multi_tree = 0
+    for inst in _certificate_corpus():
+        plan = solve(inst)
+        cert = verify_optimality(inst, plan)
+        _assert_certifies(inst, plan, cert)
+        if plan.support_size == inst.m + inst.n - 1:  # a spanning forest of one tree
+            one_tree += 1
+        else:
+            multi_tree += 1
+        h.update(cert.u.tobytes())
+        h.update(cert.v.tobytes())
+    assert one_tree and multi_tree >= 4
+    assert h.hexdigest() == CERTIFICATE_DIGEST
 
 
 def test_verify_raises_on_cyclic_support():
