@@ -21,6 +21,7 @@ from .io import (
     save_plan_csv,
     save_stats_json,
     stats_dict,
+    stats_json_text,
 )
 from .oracle import brute_force_solve, DEFAULT_CAP
 from .solver import objective, solve, uncross
@@ -135,7 +136,7 @@ def _run(args) -> int:
     if cmd == "analyze":
         inst = load_instance(args.instance)
         plan = load_plan_csv(args.plan, m=inst.m, n=inst.n)
-        print(json.dumps(stats_dict(plan), sort_keys=True))
+        sys.stdout.write(stats_json_text(stats_dict(plan)))
         return 0
     if cmd == "uncross":
         inst = load_instance(args.instance)

@@ -21,6 +21,7 @@ two's own ``__eq__``, which implies it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,6 +57,14 @@ VIOLATION_LIST_LIMIT = 10_000
 _SCAN_BLOCK = 1 << 14
 
 
+def _float_array(data, what):
+    """A new float64 array of ``data``; ValueError, not TypeError, on non-numbers."""
+    try:
+        return np.array(data, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} entries must be numbers") from None
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """A non-empty list of points of common dimension."""
@@ -63,7 +72,7 @@ class PointCloud:
     points: np.ndarray  # shape (k, d)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = _float_array(self.points, "point")
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("point cloud must be a non-empty (k, d) array with d >= 1")
         pts.flags.writeable = False
@@ -97,7 +106,7 @@ class CostMatrix:
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.c, dtype=float)
+        c = _float_array(self.c, "cost matrix")
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise ValueError("cost matrix must be 2-dimensional and non-empty")
         if not np.all(np.isfinite(c)):
@@ -124,11 +133,22 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Optional point-cloud origin of a cost matrix: c_ij = ||x_i - y_j||^p."""
+    """Optional point-cloud origin of a cost matrix: c_ij = ||x_i - y_j||^p.
+
+    The clouds share a dimension and ``p`` is a positive finite real, kept as
+    a float; anything else raises ValueError.
+    """
 
     sources: PointCloud
     targets: PointCloud
     p: float
+
+    def __post_init__(self):
+        if self.sources.dim != self.targets.dim:
+            raise ValueError(f"dimension mismatch: {self.sources.dim} vs {self.targets.dim}")
+        if not isinstance(self.p, numbers.Real) or not 0 < self.p < math.inf:
+            raise ValueError(f"exponent p must be positive and finite, not {self.p!r}")
+        object.__setattr__(self, "p", float(self.p))
 
 
 @dataclass(frozen=True)
@@ -191,8 +211,6 @@ def _power_distance_matrix(x, y, p):
 
 def gen_points(dist, count, dim, seed):
     """Sample a point cloud: 'uniform-square' in [0,1]^dim or 'gaussian' iid N(0,1)."""
-    if count < 1 or dim < 1:
-        raise ValueError("count and dim must be positive")
     rng = np.random.default_rng(seed)
     if dist == "uniform-square":
         pts = rng.random((count, dim))
@@ -205,12 +223,8 @@ def gen_points(dist, count, dim, seed):
 
 def cost_from_points(x: PointCloud, y: PointCloud, p: float) -> Instance:
     """Build an instance with c_ij = ||x_i - y_j||^p, keeping the geometry."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if p <= 0:
-        raise ValueError("exponent p must be positive")
-    c = _power_distance_matrix(x.points, y.points, p)
-    return Instance(CostMatrix(c), Geometry(x, y, float(p)))
+    geo = Geometry(x, y, p)
+    return Instance(CostMatrix(_power_distance_matrix(x.points, y.points, geo.p)), geo)
 
 
 def gen_point_instance(dist, m, n, p, seed) -> Instance:
@@ -226,8 +240,6 @@ def gen_point_instance(dist, m, n, p, seed) -> Instance:
 
 def gen_random_costs(m, n, seed) -> Instance:
     """Instance with iid uniform [0,1) costs and no geometry."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
     rng = np.random.default_rng(seed)
     return Instance(CostMatrix(rng.random((m, n))))
 

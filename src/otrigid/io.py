@@ -1,4 +1,4 @@
-"""File formats: instance JSON, plan CSV, stats JSON, decomposition JSON.
+"""File formats: instance JSON, plan CSV, stats JSON, decomposition JSON (written only).
 
 All emitters are deterministic: identical inputs produce byte-identical
 files.
@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from fractions import Fraction
 
 from .analysis import pair_counts, rigidity_report
 from .constructions import PermutationDecomposition
@@ -39,9 +38,7 @@ def instance_from_dict(data: dict) -> Instance:
         if not isinstance(g, dict) or not {"sources", "targets", "p"} <= g.keys():
             raise ValueError("instance geometry must be an object with keys "
                              "sources, targets and p")
-        geometry = Geometry(
-            PointCloud(g["sources"]), PointCloud(g["targets"]), float(g["p"])
-        )
+        geometry = Geometry(PointCloud(g["sources"]), PointCloud(g["targets"]), g["p"])
     return Instance(costs, geometry)
 
 
@@ -134,10 +131,15 @@ def stats_dict(plan: TransportPlan) -> dict:
     }
 
 
+def stats_json_text(stats: dict) -> str:
+    """A ``stats_dict`` payload as the stats JSON text: one line, keys sorted."""
+    return json.dumps(stats, sort_keys=True) + "\n"
+
+
 def save_stats_json(stats: dict, path):
     """Write a ``stats_dict`` payload as the stats JSON file."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(stats, sort_keys=True) + "\n")
+        fh.write(stats_json_text(stats))
 
 
 def decomposition_to_dict(dec: PermutationDecomposition) -> dict:
@@ -147,23 +149,6 @@ def decomposition_to_dict(dec: PermutationDecomposition) -> dict:
             for sigma, w in dec.terms
         ]
     }
-
-
-def decomposition_from_dict(data: dict) -> PermutationDecomposition:
-    """Rebuild a decomposition; raises ValueError naming what is malformed."""
-    if not isinstance(data, dict) or not isinstance(data.get("terms"), list) or not data["terms"]:
-        raise ValueError("decomposition JSON must be an object with a non-empty list terms")
-    terms = []
-    for k, t in enumerate(data["terms"]):
-        if not isinstance(t, dict) or not {"perm", "num", "den"} <= t.keys():
-            raise ValueError(f"decomposition term {k} must be an object with keys "
-                             "perm, num and den")
-        perm, num, den = t["perm"], t["num"], t["den"]
-        if not isinstance(perm, list) or type(num) is not int or type(den) is not int or not den:
-            raise ValueError(f"decomposition term {k}: perm must be a list, "
-                             "num and den ints with den != 0")
-        terms.append((tuple(perm), Fraction(num, den)))
-    return PermutationDecomposition(n=len(terms[0][0]), terms=tuple(terms))
 
 
 def save_decomposition_json(dec: PermutationDecomposition, path):

@@ -470,12 +470,10 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
     red = (c - w[:m, None]) + w[None, m:]
 
     # shift tree k's potentials by delta_k: constraints
-    # delta_a - delta_b <= min reduced cost over (i in a, j in b)
+    # delta_a - delta_b <= min reduced cost over (i in a, j in b); one tree
+    # leaves no shift to fix (delta = 0), so its red stands
     ntree = parent.count(-1)
-    if ntree == 1:
-        # one tree leaves no shift to fix: delta = 0, and red stands
-        w += 0.0  # as w += delta[comp] below would with delta = 0
-    else:
+    if ntree > 1:
         # one minimum per (source tree, target tree) block of red, with rows
         # and columns grouped by tree; every tree holds a source and a
         # target, because the plan is feasible, so no block is empty
@@ -590,13 +588,10 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     tie_tol = TIE_TOL * inst.costs.max_abs
     m = plan.m
     rows = [[0] * plan.n for _ in range(m)]  # rows[i][j] = f_ij
-    # digits[i][j] is "1" iff f_ij > 0; reversed, it is the base-2 numeral of
-    # masks[i], so a wide row costs one parse, not a big-int OR per arc
-    digits = [bytearray(b"0") * plan.n for _ in range(m)]
+    masks = [0] * m  # bit j of masks[i] set iff f_ij > 0
     for i, j, f in plan.flows:
         rows[i][j] = f
-        digits[i][j] = 49  # ord("1")
-    masks = [int(d[::-1], 2) for d in digits]  # bit j set iff f_ij > 0
+        masks[i] |= 1 << j
     # cost rows as lists, read only for sources that push: a crossing-free
     # plan on a wide matrix then converts no costs at all
     crow = [None] * m

@@ -76,8 +76,9 @@ def test_cost_from_points_keeps_the_clouds():
     # the clouds are read-only already and carry no label to rewrite
     x = gen_points("uniform-square", 3, 2, 1)
     y = gen_points("uniform-square", 5, 2, 2)
-    geo = cost_from_points(x, y, 2.0).geometry
+    geo = cost_from_points(x, y, 2).geometry
     assert geo.sources is x and geo.targets is y
+    assert type(geo.p) is float and geo.p == 2.0  # Geometry keeps p as a float
 
 
 def test_cost_from_points_dimension_mismatch():
@@ -85,6 +86,29 @@ def test_cost_from_points_dimension_mismatch():
     y = gen_points("uniform-square", 3, 3, 1)
     with pytest.raises(ValueError):
         cost_from_points(x, y, 2.0)
+
+
+@pytest.mark.parametrize("src_dim,tgt_dim,p", [
+    (2, 2, 0), (2, 2, -1.0), (2, 2, math.inf), (2, 2, math.nan), (2, 2, None),
+    (2, 2, [2]), (2, 2, "2"), (2, 3, 2.0), (3, 2, 2.0),
+], ids=["p0", "p-1", "p-inf", "p-nan", "p-null", "p-list", "p-str", "dim2-3", "dim3-2"])
+def test_load_rejects_what_cost_from_points_rejects(src_dim, tgt_dim, p):
+    # Geometry holds the rules, so a file cannot carry a geometry that
+    # cost_from_points refuses; its costs are the ones such a geometry
+    # gives when the rule is ignored (the first common coordinates, p as is)
+    x = gen_points("uniform-square", 2, src_dim, 0)
+    y = gen_points("uniform-square", 3, tgt_dim, 1)
+    with pytest.raises(ValueError):
+        cost_from_points(x, y, p)
+    d = min(src_dim, tgt_dim)
+    c = np.zeros((2, 3))
+    if isinstance(p, (int, float)):
+        with np.errstate(all="ignore"):
+            c = instance_mod._power_distance_matrix(x.points[:, :d], y.points[:, :d], p)
+        c[~np.isfinite(c)] = 0.0
+    geometry = {"sources": x.points.tolist(), "targets": y.points.tolist(), "p": p}
+    with pytest.raises(ValueError):
+        instance_from_dict({"m": 2, "n": 3, "costs": c.tolist(), "geometry": geometry})
 
 
 def test_scale_is_lcm():
