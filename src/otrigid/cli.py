@@ -60,7 +60,6 @@ def _build_parser():
 
     p = sub.add_parser("genericity", help="scan for cost quadruple near-ties")
     p.add_argument("--instance", required=True)
-    p.add_argument("--tol", type=float, default=inst_mod.TIE_TOL)
 
     p = sub.add_parser("perturb", help="jitter the costs to restore genericity")
     p.add_argument("--instance", required=True)
@@ -122,12 +121,11 @@ def _run(args) -> int:
         return 0
     if cmd == "genericity":
         inst = load_instance(args.instance)
-        rep = inst_mod.genericity_check(inst, tol=args.tol)
+        rep = inst_mod.genericity_check(inst)
         print(json.dumps({"generic": rep.generic,
                           "violations": [list(v) for v in rep.violations[:100]],
                           "violation_count": len(rep.violations),
-                          "truncated": rep.truncated,
-                          "tolerance": rep.tolerance}))
+                          "truncated": rep.truncated}))
         return 0
     if cmd == "perturb":
         inst = load_instance(args.instance)

@@ -10,11 +10,11 @@ input arrays and mark the copies non-writeable, so the costs a plan is
 certified on are the costs it was solved on.  Point clouds carry no label:
 ``Geometry``'s ``sources`` and ``targets`` slots say which is which, so
 ``cost_from_points`` keeps the caller's clouds as they are.  ``m``, ``n``,
-``scale`` and ``max_abs`` are plain attributes, computed once at
-construction.  Deep copies and pickles rebuild both through their
-constructors, so they are read-only too, and ``==`` compares the arrays by
-value.  A hash of the array bytes would not agree with that ``==``
-(0.0 == -0.0), so ``hash()`` of any of the three raises TypeError:
+``scale``, ``max_abs`` and the tie cut ``costs.tie`` are plain attributes,
+computed once at construction.  Deep copies and pickles rebuild both
+through their constructors, so they are read-only too, and ``==`` compares
+the arrays by value.  A hash of the array bytes would not agree with that
+``==`` (0.0 == -0.0), so ``hash()`` of any of the three raises TypeError:
 ``Instance`` sets ``__hash__ = None``, and ``eq=False`` keeps the other
 two's own ``__eq__``, which implies it.
 """
@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 # The one tie rule: two cost expressions (costs, reduced costs, or a cycle's
-# alternating cost sum) are equal when they differ by at most TIE_TOL * max|c|.
+# alternating cost sum) are equal when they differ by at most the cut
+# CostMatrix.tie = TIE_TOL * max|c|, the only place TIE_TOL is applied.
 # With no absolute floor, scaling all costs by a power of two changes no
 # decision. Rounding stays far below it (Higham 2002, ch. 4): the solver's
 # potentials drift by at most 1.1e-15 * max|c| over 14 000 pivots on
@@ -58,11 +59,16 @@ _SCAN_BLOCK = 1 << 14
 
 
 def _float_array(data, what):
-    """A new float64 array of ``data``; ValueError, not TypeError, on non-numbers."""
-    try:
-        return np.array(data, dtype=float)
-    except TypeError:
-        raise ValueError(f"{what} entries must be numbers") from None
+    """A new float64 array of ``data``; ValueError unless every entry is a real number.
+
+    numpy alone would read "0.5" as 0.5, True as 1.0 and None as nan.  Float
+    and int arrays skip the per-entry type check.
+    """
+    if not (isinstance(data, np.ndarray) and data.dtype.kind in "fiu"):
+        for t in dict.fromkeys(map(type, np.array(data, dtype=object).flat)):
+            if not issubclass(t, numbers.Real) or issubclass(t, bool):
+                raise ValueError(f"{what} entries must be numbers, not {t.__name__}")
+    return np.array(data, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +106,8 @@ class PointCloud:
 class CostMatrix:
     """Dense m x n matrix of finite transport costs with |c_ij| <= MAX_ABS_COST.
 
-    Also holds ``m``, ``n`` and ``max_abs`` = max|c_ij|; they are not fields.
+    Also holds ``m``, ``n``, ``max_abs`` = max|c_ij| and the tie cut
+    ``tie`` = TIE_TOL * max_abs; they are not fields.
     """
 
     c: np.ndarray
@@ -119,10 +126,11 @@ class CostMatrix:
         object.__setattr__(self, "m", c.shape[0])
         object.__setattr__(self, "n", c.shape[1])
         object.__setattr__(self, "max_abs", max_abs)
+        object.__setattr__(self, "tie", TIE_TOL * max_abs)
 
     def __reduce__(self):
         # copies and pickles rebuild through the constructor, which copies
-        # the costs read-only again and recomputes m, n and max_abs
+        # the costs read-only again and recomputes m, n, max_abs and tie
         return CostMatrix, (self.c,)
 
     def __eq__(self, other):
@@ -135,8 +143,8 @@ class CostMatrix:
 class Geometry:
     """Optional point-cloud origin of a cost matrix: c_ij = ||x_i - y_j||^p.
 
-    The clouds share a dimension and ``p`` is a positive finite real, kept as
-    a float; anything else raises ValueError.
+    The clouds share a dimension and ``p`` is a positive finite real, not a
+    bool, kept as a float; anything else raises ValueError.
     """
 
     sources: PointCloud
@@ -146,9 +154,10 @@ class Geometry:
     def __post_init__(self):
         if self.sources.dim != self.targets.dim:
             raise ValueError(f"dimension mismatch: {self.sources.dim} vs {self.targets.dim}")
-        if not isinstance(self.p, numbers.Real) or not 0 < self.p < math.inf:
-            raise ValueError(f"exponent p must be positive and finite, not {self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
+        p = self.p
+        if not isinstance(p, numbers.Real) or isinstance(p, bool) or not 0 < p < math.inf:
+            raise ValueError(f"exponent p must be positive and finite, not {p!r}")
+        object.__setattr__(self, "p", float(p))
 
 
 @dataclass(frozen=True)
@@ -174,9 +183,8 @@ class Instance:
             if len(g.sources) != m or len(g.targets) != n:
                 raise ValueError("geometry size does not match cost matrix")
             expected = _power_distance_matrix(g.sources.points, g.targets.points, g.p)
-            atol = TIE_TOL * self.costs.max_abs
             # an inf or nan distance fails too: the max is then inf or nan
-            if not np.abs(self.costs.c - expected).max() <= atol:
+            if not np.abs(self.costs.c - expected).max() <= self.costs.tie:
                 raise ValueError("costs are inconsistent with geometry")
 
 
@@ -184,14 +192,12 @@ class Instance:
 class GenericityReport:
     """Outcome of the quadruple scan c_ik + c_jl vs c_il + c_jk."""
 
-    generic: bool
     violations: tuple  # quadruples (i, j, k, l) with i < j, k < l, sorted
-    tolerance: float  # relative to max|c|
     truncated: bool = False  # more than VIOLATION_LIST_LIMIT exist; the rest are not listed
 
-    def __post_init__(self):
-        if self.generic != (len(self.violations) == 0):
-            raise ValueError("generic flag inconsistent with violation list")
+    @property
+    def generic(self):
+        return not self.violations
 
 
 def _power_distance_matrix(x, y, p):
@@ -265,15 +271,15 @@ def perturb(inst: Instance, eta: float, seed) -> Instance:
     return Instance(CostMatrix(c))
 
 
-def genericity_check(inst: Instance, tol: float = TIE_TOL) -> GenericityReport:
-    """Exact scan of quadruples (i<j, k<l) for |c_ik + c_jl - c_il - c_jk| <= tol*max|c|.
+def genericity_check(inst: Instance) -> GenericityReport:
+    """Exact scan of quadruples (i<j, k<l) for |c_ik + c_jl - c_il - c_jk| <= costs.tie.
 
-    With d = c_i - c_j, a quadruple is a near-tie when |d_k - d_l| <= tol*max|c|.
+    With d = c_i - c_j, a quadruple is a near-tie when |d_k - d_l| <= costs.tie.
     The differences of a block of sources to every later source are sorted at
     once (``_SCAN_BLOCK`` entries per block).  Only source pairs whose sorted
-    d has an adjacent gap within tolerance can hold a near-tie, because
+    d has an adjacent gap within the cut can hold a near-tie, because
     rounded subtraction is monotone: any sorted window
-    ds[hi] - ds[lo] <= tol*max|c| contains such a gap.  Only those pairs get the
+    ds[hi] - ds[lo] <= costs.tie contains such a gap.  Only those pairs get the
     two-pointer sweep, started only at such gaps, so the scan is exact and costs
     O(m^2 n log n) plus the violations it lists.
 
@@ -281,17 +287,10 @@ def genericity_check(inst: Instance, tol: float = TIE_TOL) -> GenericityReport:
     violations are listed the scan stops at the next one and marks the report
     truncated; ``generic`` is exact either way.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValueError("tolerance must be finite and non-negative")
     violations = []
-    truncated = _collect_near_ties(inst.costs.c, tol * inst.costs.max_abs, violations)
+    truncated = _collect_near_ties(inst.costs.c, inst.costs.tie, violations)
     violations.sort()
-    return GenericityReport(
-        generic=not violations,
-        violations=tuple(violations),
-        tolerance=tol,
-        truncated=truncated,
-    )
+    return GenericityReport(tuple(violations), truncated)
 
 
 def _collect_near_ties(c, abs_tol, out):

@@ -30,7 +30,8 @@ def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict) or not {"m", "n", "costs"} <= data.keys():
         raise ValueError("instance JSON must be an object with keys m, n and costs")
     costs = CostMatrix(data["costs"])
-    if costs.m != data["m"] or costs.n != data["n"]:
+    shape = (data["m"], data["n"])
+    if (costs.m, costs.n) != shape or bool in map(type, shape):  # JSON true == 1
         raise ValueError("declared m, n do not match the cost matrix shape")
     geometry = None
     if data.get("geometry") is not None:

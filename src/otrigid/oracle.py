@@ -8,7 +8,8 @@ entry can take with the table still completable, so no dead partial table is
 built.  Blocks are expanded depth-first, a bounded number of partial tables
 at a time, which keeps the lexicographic order and bounds memory.
 ``brute_force_solve`` scores a whole block with the left fold that
-``scaled_objective`` uses, so its costs have the same bits.
+``scaled_objective`` uses, so its costs have the same bits, and ties them
+within ``S * costs.tie``, the instance's one tie cut.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import TIE_TOL, Instance
+from .instance import Instance
 from .solver import TransportPlan
 
 DEFAULT_CAP = 10**7
@@ -132,8 +133,8 @@ def enumerate_plans(inst: Instance, cap: int = DEFAULT_CAP):
 def brute_force_solve(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     """Exact minimum over all integral plans, returning every argmin plan.
 
-    Scaled objectives tie within TIE_TOL * S * max|c|, the tie rule applied
-    to sums of S costs: |scaled objective| <= S * max|c|.  Each block of
+    Scaled objectives tie within S * costs.tie, the tie rule applied to sums
+    of S costs: |scaled objective| <= S * max|c|.  Each block of
     tables is scored by one ``np.add.accumulate`` of c_ij * T_ij along every
     table's entries in (i, j) order, a left fold with the bits of
     ``scaled_objective``'s fold over the positive entries:
@@ -149,7 +150,7 @@ def brute_force_solve(inst: Instance, cap: int = DEFAULT_CAP) -> OracleResult:
     The scan for the best runs sequentially in table order, and only the
     tables tied with the best become plans, their entries Python ints.
     """
-    tie = TIE_TOL * inst.scale * inst.costs.max_abs
+    tie = inst.scale * inst.costs.tie
     c = inst.costs.c.ravel()
     best = None
     optimal = []  # (scaled cost, table rows)

@@ -27,7 +27,7 @@ order against live-row and live-column masks in numpy.  Pricing keeps a
 candidate list: a full numpy pricing of all m*n arcs keeps the most negative
 ones, each later pivot reprices only those and enters the most negative, and
 a new full pricing runs only when none is left below the entering cut
--TIE_TOL*max|c|, under which a reduced cost is not a tie with zero.  The
+-costs.tie, under which a reduced cost is not a tie with zero.  The
 solve stops when a full pricing from freshly propagated potentials finds no
 arc below the cut, so the returned plan is an optimal polytope vertex.
 A ``TransportPlan`` is exactly feasible once built, so a function taking one
@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .instance import TIE_TOL, Instance
+from .instance import Instance
 
 _MAX_PIVOTS = 50_000_000  # safety valve; never hit in practice
 # candidate-list length: one per _ARCS_PER_CANDIDATE arcs, at least
@@ -314,7 +314,7 @@ def solve(inst: Instance) -> TransportPlan:
     w = _tree_potentials(parent, children, pslot, c_np.take(basis), m)
 
     mark = [0] * (m + n)  # apex search: last pivot tag that climbed a node
-    enter_cut = -TIE_TOL * inst.costs.max_abs
+    enter_cut = -inst.costs.tie
     list_size = max(_MIN_CANDIDATES, m * n // _ARCS_PER_CANDIDATE)
     red = np.empty((m, n))  # full-pricing buffer
     cand = []  # candidate list: arcs (c_ij, i, m+j) last priced below enter_cut
@@ -450,7 +450,7 @@ def scaled_objective(inst: Instance, plan: TransportPlan) -> float:
 def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCertificate]:
     """Certify optimality by complementary slackness, or return None.
 
-    A reduced cost within TIE_TOL * max|c| of zero counts as zero.
+    A reduced cost within costs.tie of zero counts as zero.
 
     The support is rooted as a forest (``_rooted_forest``) and potentials
     are propagated down each tree in ``solve``'s w form.  Each tree's
@@ -466,7 +466,7 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
     arcs = np.array([i * n + j for i, j, _ in plan.flows])  # support, by slot
     w = np.array(_tree_potentials(parent, children, pslot, c.take(arcs), m))
     comp = np.array(tree)
-    abs_tol = TIE_TOL * inst.costs.max_abs
+    tie = inst.costs.tie
     red = (c - w[:m, None]) + w[None, m:]
 
     # shift tree k's potentials by delta_k: constraints
@@ -482,14 +482,14 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
         trees = np.arange(ntree)
         bound = np.minimum.reduceat(red[rows], comp[:m][rows].searchsorted(trees), axis=0)
         bound = np.minimum.reduceat(bound[:, cols], comp[m:][cols].searchsorted(trees), axis=1)
-        delta = _solve_difference_constraints(bound, abs_tol)
+        delta = _solve_difference_constraints(bound, tie)
         if delta is None:
             return None
         w += delta[comp]
         red = (c - w[:m, None]) + w[None, m:]
     # the support needs no tightness test: each support arc is a tree arc,
     # which _tree_potentials makes tight, and delta shifts both its ends alike
-    if red.min() < -abs_tol:
+    if red.min() < -tie:
         return None
     return DualCertificate(u=w[:m], v=0.0 - w[m:])  # 0.0 - w: v holds no -0.0
 
@@ -562,7 +562,7 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     Each step picks the first crossing in (i, i2, j, j2) order and pushes the
     full min flow in the cost-non-increasing direction, zeroing one entry, so
     the support shrinks every step and the loop terminates.  Ties within
-    TIE_TOL*max|c| push in the direction that zeroes the lexicographically
+    costs.tie push in the direction that zeroes the lexicographically
     smallest entry.
 
     A push raises two arcs that are already positive and lowers two others,
@@ -585,7 +585,7 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     """
     check_shape(inst, plan)
     c = inst.costs.c
-    tie_tol = TIE_TOL * inst.costs.max_abs
+    tie = inst.costs.tie
     m = plan.m
     rows = [[0] * plan.n for _ in range(m)]  # rows[i][j] = f_ij
     masks = [0] * m  # bit j of masks[i] set iff f_ij > 0
@@ -623,7 +623,7 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
                     continue
                 # pushing eps onto the (i,j),(i2,j2) diagonal changes cost by eps*gain
                 gain = (ci[j] + c2[j2]) - (ci[j2] + c2[j])
-                if -tie_tol <= gain <= tie_tol:
+                if -tie <= gain <= tie:
                     # tie: zero the lexicographically smallest entry.  The
                     # -diagonal push zeroes (i, j), the smallest of all four,
                     # unless f_i2j2 < f_ij makes it zero (i2, j2), the

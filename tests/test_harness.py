@@ -426,6 +426,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert main(["genericity", "--instance", str(inst_path)]) == 0
     scan = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert scan["truncated"] is False
+    assert list(scan) == ["generic", "violations", "violation_count", "truncated"]
     assert main(["analyze", "--instance", str(inst_path), "--plan", str(plan_path)]) == 0
     # analyze prints the bytes that solve --out-stats writes
     assert capsys.readouterr().out == stats_path.read_text()
@@ -566,8 +567,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["analyze", "--instance", str(inst_path), "--plan", str(plan_path)]) == 1
         assert not os.path.exists(out)
     # a malformed instance JSON: not an object, a geometry that is not one,
-    # p that is not a number, costs that are not numbers, or clouds of
-    # different dimensions
+    # p that is not a number, costs or points that are not numbers (JSON
+    # strings and booleans included), or clouds of different dimensions
     def with_geometry(p=2.0, sources=((0.0, 0.0),)):
         return {"m": 1, "n": 1, "costs": [[0.0]],
                 "geometry": {"sources": sources, "targets": [[0.0, 0.0]], "p": p}}
@@ -579,7 +580,13 @@ def test_cli_exit_codes(tmp_path, capsys):
              "must be an object"),
             ("p_null", with_geometry(p=None), "exponent p"),
             ("p_list", with_geometry(p=[2]), "exponent p"),
+            ("p_true", with_geometry(p=True), "exponent p"),
             ("cost_objects", {"m": 1, "n": 1, "costs": [[{}]]}, "must be numbers"),
+            ("cost_str_bool", {"m": 1, "n": 2, "costs": [["0.5", True]]}, "must be numbers"),
+            ("cost_null", {"m": 1, "n": 1, "costs": [[None]]}, "must be numbers"),
+            ("m_true", {"m": True, "n": 1, "costs": [[0.5]]}, "declared m, n"),
+            ("point_strings", with_geometry(sources=[["0", "0"]]), "must be numbers"),
+            ("point_bool", with_geometry(sources=[[True, 0]]), "must be numbers"),
             ("dim_3_2", with_geometry(sources=[[0.0, 0.0, 0.0]]), "dimension mismatch")):
         bad_path = tmp_path / f"{name}.json"
         bad_path.write_text(json.dumps(data))
@@ -587,12 +594,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["solve", "--instance", str(bad_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and says in err, err
-    # a non-finite tolerance would report all-zero costs generic, as NaN JSON
-    for tol in ("nan", "inf", "-1e-12"):
-        assert main(["genericity", "--instance", str(inst_path), f"--tol={tol}"]) == 1
-    # a malformed command line is a validation error too, not the I/O code:
-    # argparse reads "--tol -1e-12" as a missing value
-    for argv in (["genericity", "--instance", str(inst_path), "--tol", "-1e-12"],
+    # a malformed command line is a validation error too, not the I/O code;
+    # genericity has no --tol, its cut is the instance's costs.tie
+    for argv in (["genericity", "--instance", str(inst_path), "--tol", "1e-12"],
                  ["solve", "--out-plan", str(tmp_path / "never.csv")]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -136,6 +136,8 @@ def test_genericity_all_zero():
     rep = genericity_check(Instance(CostMatrix(np.zeros((2, 2)))))
     assert not rep.generic
     assert rep.violations == ((0, 1, 0, 1),)
+    # the verdict is read off the list, so the two cannot disagree
+    assert [f.name for f in dataclasses.fields(rep)] == ["violations", "truncated"]
 
 
 def test_genericity_hand_scan():
@@ -151,20 +153,18 @@ def test_genericity_vacuous_for_single_row_or_col():
 
 
 def test_genericity_monotone_in_tolerance():
+    # the scan under genericity_check, at cuts around costs.tie: a wider cut
+    # flags a superset
     rng = np.random.default_rng(9)
     c = np.round(rng.random((4, 5)), 2)  # coarse grid forces some ties
-    inst = Instance(CostMatrix(c))
-    taus = [0.0, 1e-12, 1e-6, 1e-2, 1.0]
-    reports = [genericity_check(inst, tol=t) for t in taus]
-    for small, big in zip(reports, reports[1:]):
-        assert set(small.violations) <= set(big.violations)
-
-
-@pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
-def test_genericity_rejects_invalid_tolerance(tol):
-    # inf * max|c| is nan on all-zero costs, and nan would flag no tie
-    with pytest.raises(ValueError):
-        genericity_check(Instance(CostMatrix(np.zeros((2, 2)))), tol=tol)
+    max_abs = CostMatrix(c).max_abs
+    found = []
+    for tau in (0.0, 1e-12, 1e-6, 1e-2, 1.0):
+        out = []
+        assert not instance_mod._collect_near_ties(c, tau * max_abs, out)
+        found.append(set(out))
+    for small, big in zip(found, found[1:]):
+        assert small <= big
 
 
 def test_genericity_finds_planted_tie():
@@ -187,10 +187,9 @@ def test_genericity_exact_on_long_rows():
     assert not rep.truncated
 
 
-def _brute_force_near_ties(c, tol):
+def _brute_force_near_ties(c, abs_tol):
     """Every quadruple, with the scan's own rounding: (c_ik - c_jk) - (c_il - c_jl)."""
     m, n = c.shape
-    abs_tol = tol * float(np.max(np.abs(c)))
     return tuple(
         (i, j, k, l)
         for i in range(m)
@@ -221,10 +220,16 @@ def _near_tie_corpus():
 
 def test_genericity_matches_brute_force():
     for c in _near_tie_corpus():
+        costs = CostMatrix(c)
+        rep = genericity_check(Instance(costs))
+        assert not rep.truncated
+        assert rep.violations == _brute_force_near_ties(c, costs.tie), c.shape
+        # the scan is exact at any cut, not only at costs.tie
         for tol in (0.0, 1e-12, 1e-6, 1e-2, 1.0):
-            rep = genericity_check(Instance(CostMatrix(c)), tol=tol)
-            assert not rep.truncated
-            assert rep.violations == _brute_force_near_ties(c, tol), (c.shape, tol)
+            abs_tol = tol * costs.max_abs
+            got = []
+            assert not instance_mod._collect_near_ties(c, abs_tol, got)
+            assert tuple(sorted(got)) == _brute_force_near_ties(c, abs_tol), (c.shape, tol)
 
 
 def _per_pair_near_ties(c, abs_tol, limit):
@@ -401,6 +406,34 @@ def test_cost_matrix_rejects_nonfinite():
         CostMatrix(np.array([[np.inf]]))
 
 
+@pytest.mark.parametrize("bad", ["0.5", True, None, np.True_, b"1", [0.5]],
+                         ids=["str", "bool", "None", "numpy-bool", "bytes", "list"])
+def test_non_numbers_are_refused(bad):
+    # numpy alone reads "0.5" as 0.5, True as 1.0 and None as nan
+    for make in (CostMatrix, PointCloud):
+        with pytest.raises(ValueError, match="must be numbers"):
+            make([[0.5, bad]])
+        with pytest.raises(ValueError, match="must be numbers"):
+            make(np.array([[0.5, bad]], dtype=object))
+    for arr in (np.array([["0.5", "1"]]), np.array([[True, False]])):
+        with pytest.raises(ValueError, match="must be numbers"):
+            CostMatrix(arr)
+    y = PointCloud([[0.0, 0.0]])
+    for p in (True, np.True_, "2", None):
+        with pytest.raises(ValueError, match="exponent p"):
+            Geometry(y, y, p)
+
+
+def test_real_numbers_are_accepted():
+    want = CostMatrix(np.array([[0.5, 2.0, -3.0]]))
+    for c in ([[0.5, 2, -3.0]], [[np.float64(0.5), np.int64(2), -3]],
+              np.array([[0.5, 2, -3]], dtype=object), want.c.astype(np.float32)):
+        assert CostMatrix(c) == want
+    for arr in (np.array([[1, 4, -6]]), np.array([[1, 4, 6]], dtype=np.uint8)):
+        assert CostMatrix(arr) == CostMatrix(arr.astype(float))
+    assert Geometry(PointCloud([[0, 1]]), PointCloud([[1.0, 0.0]]), 2).p == 2.0
+
+
 def test_cost_matrix_rejects_magnitudes_that_overflow():
     # an exact tie whose differences overflow: c[0] - c[1] = 2e308 -> inf
     with pytest.raises(ValueError):
@@ -480,6 +513,7 @@ def _assert_derived(inst):
     assert (inst.m, inst.n) == (inst.costs.m, inst.costs.n) == c.shape
     assert inst.scale == math.lcm(inst.m, inst.n)
     assert inst.costs.max_abs == float(np.max(np.abs(c)))
+    assert inst.costs.tie == TIE_TOL * inst.costs.max_abs
 
 
 @pytest.mark.parametrize("c", [
@@ -492,6 +526,8 @@ def test_derived_attributes_match_definitions(c):
     inst = Instance(CostMatrix(c))
     _assert_derived(inst)
     _assert_derived(perturb(inst, 1e-9, 0))
+    _assert_derived(copy.deepcopy(inst))
+    _assert_derived(pickle.loads(pickle.dumps(inst)))
     _assert_derived(instance_from_dict(instance_to_dict(inst)))
     wider = np.hstack([c, c[:, :1] / 2])
     _assert_derived(dataclasses.replace(inst, costs=CostMatrix(wider)))

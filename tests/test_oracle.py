@@ -20,7 +20,6 @@ from otrigid import (
     solve,
 )
 from otrigid import oracle
-from otrigid.instance import TIE_TOL
 from otrigid.io import plan_csv_lines
 from otrigid.oracle import DEFAULT_CAP, _tables
 from otrigid.solver import find_crossings, scaled_objective
@@ -57,7 +56,7 @@ def test_enumerate_cap_rejects_non_positive():
 
 def _brute_force_from_plans(inst):
     """brute_force_solve rebuilt on enumerate_plans and scaled_objective."""
-    tie = TIE_TOL * inst.scale * inst.costs.max_abs
+    tie = inst.scale * inst.costs.tie
     best, optimal, count = None, [], 0
     for plan in enumerate_plans(inst):
         count += 1

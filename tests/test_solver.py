@@ -155,6 +155,47 @@ def test_solve_hostile_costs(c):
     assert elapsed < 1.0
 
 
+_SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
+
+
+@st.composite
+def _small_hostile_costs(draw):
+    """An m x n cost matrix with m * n <= 12: {0, 1, 2} ties, all zeros,
+    negative integers, lattice W1 with duplicated points, or uniform costs
+    scaled by 2**150 or 2**-150."""
+    m, n = draw(st.sampled_from(_SMALL_SHAPES))
+
+    def matrix(values, rows, cols):
+        flat = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=float).reshape(rows, cols)
+
+    kind = draw(st.sampled_from(["ties", "zeros", "negative", "lattice", "scaled"]))
+    if kind == "ties":
+        return matrix(st.integers(0, 2), m, n)
+    if kind == "zeros":
+        return np.zeros((m, n))
+    if kind == "negative":
+        return matrix(st.integers(-9, -1), m, n)
+    if kind == "lattice":
+        x, y = matrix(st.integers(0, 2), m, 2), matrix(st.integers(0, 2), n, 2)
+        x[-1], y[-1] = x[0], y[0]
+        return cost_from_points(PointCloud(x), PointCloud(y), 1.0).costs.c
+    scale = draw(st.sampled_from([2.0**150, 2.0**-150]))
+    return scale * matrix(st.floats(0.0, 1.0), m, n)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(c=_small_hostile_costs())
+def test_solve_hostile_corpus(c):
+    # every small hostile case ends in a valid, certified plan that is one of
+    # the oracle's optima
+    inst = Instance(CostMatrix(c))
+    plan = solve(inst)
+    plan.validate()
+    assert verify_optimality(inst, plan) is not None
+    assert plan.flows in {p.flows for p in brute_force_solve(inst).optimal_plans}
+
+
 @pytest.mark.parametrize(
     "c",
     [pytest.param(c, id=name) for name, c in _hostile_costs()]
@@ -286,9 +327,9 @@ def test_difference_constraints_on_one_tree():
 
 def _assert_certifies(inst, plan, cert):
     # the definition: u_i + v_j <= c_ij everywhere, equality on the support,
-    # both within the tie tolerance TIE_TOL * max|c|
+    # both within the tie cut costs.tie
     c = inst.costs.c
-    tol = TIE_TOL * inst.costs.max_abs
+    tol = inst.costs.tie
     assert cert.u.shape == (inst.m,) and cert.v.shape == (inst.n,)
     assert (np.add.outer(cert.u, cert.v) <= c + tol).all()
     for i, j, _ in plan.flows:
@@ -548,7 +589,7 @@ def _uncross_by_definition(inst, plan):
     """uncross as its docstring defines it: push on find_crossings' first
     crossing until none is left."""
     c = inst.costs.c
-    tie_tol = TIE_TOL * inst.costs.max_abs
+    tie_tol = inst.costs.tie
     flows = plan.flow_dict()
     while True:
         cur = TransportPlan(plan.m, plan.n, plan.scale,
