@@ -1,18 +1,28 @@
-"""Rigidity statistics: fanout/fanin vectors, bound checks, pair counting.
+"""Rigidity statistics: fanout/fanin vectors, fanout splits, pair counting.
 
 Fanout t_i counts distinct targets of source i, fanin l_j counts distinct
 sources of target j.  Each fanout splits as t_i = full_i + d_i: full_i
 targets that source i fills alone (f_ij = S/n, so full_i <= floor(n/m)) and
-d_i targets it shares with another source.  The bound verdicts check,
-for a plan under generic costs:
+d_i targets it shares with another source.
+
+The paper states its rigidity bounds for generic costs, but they hold on
+every vertex plan, on any costs, and ``solve`` returns only vertex plans; so
+nothing here checks them per plan, and ``tests/test_analysis.py`` asserts
+them once, on every forest plan of the small shapes.  With support size s:
 
   (1)  ceil(n/m) <= t_i <= floor(n/m) + m - 1   for every source,
-  (2)  mean(t)   <= n/m + sqrt(n),
-  (3)  mean(l)   <= 1 + m/sqrt(n).
+  (2)  mean(t)   <= n/m + sqrt(n),   i.e. s <= n + m*sqrt(n),
+  (3)  mean(l)   <= 1 + m/sqrt(n),   the same inequality,
+  (4)  sum_j C(l_j, 2) <= C(m, 2).
 
-(2) and (3) are one test: with support size s, (2) says s/m <= n/m + sqrt(n)
-and (3) says s/n <= 1 + m/sqrt(n), and both say s <= n + m*sqrt(n), which
-integers decide exactly.  ``bound2_ok`` is the verdict for both.
+Proof.  Target j takes S/n in all, so f_ij <= S/n, and source i ships S/m
+in t_i arcs: t_i >= n/m, the lower end of (1), on every feasible plan.  A
+vertex plan's support is a forest (Klee & Witzgall 1968) on m + n nodes,
+so s <= n + m - 1 and sum_j (l_j - 1) = s - n <= m - 1.  Then d_i <=
+sum_j (l_j - 1) <= m - 1, and with full_i * S/n <= S/m the upper end of (1)
+follows; s <= n + m - 1 <= n + m*sqrt(n) gives (2) and (3); and since
+C(1 + a, 2) + C(1 + b, 2) <= C(1 + a + b, 2), the sum in (4) is largest when
+one target takes all s - n extra sources: at most C(m, 2).
 """
 from __future__ import annotations
 
@@ -28,10 +38,7 @@ class RigidityReport:
     full: tuple  # per source, targets it fills alone (f_ij = S/n)
     split: tuple  # per source, targets it shares: t_i - full_i
     support_size: int
-    bound1_ok: bool
-    bound2_ok: bool  # bounds (2) and (3), one test
     lower: int  # ceil(n/m)
-    upper1: int  # floor(n/m) + m - 1
 
     @property
     def t_min(self):
@@ -53,11 +60,10 @@ class PairCountReport:
     total: int  # sum_j C(l_j, 2)
     crossings: int  # sum over source pairs of C(common targets, 2)
     max_pair_count: int
-    pair_bound: int  # C(m, 2)
 
 
 def rigidity_report(plan: TransportPlan) -> RigidityReport:
-    """Fanouts, fanins, each fanout's full/split parts and the bound verdicts, in one pass."""
+    """Fanouts, fanins and each fanout's full/split parts, in one pass."""
     m, n = plan.m, plan.n
     cap = plan.scale // n
     t = [0] * m
@@ -68,21 +74,13 @@ def rigidity_report(plan: TransportPlan) -> RigidityReport:
         ell[j] += 1
         if f == cap:
             full[i] += 1
-    support = len(plan.flows)
-    lower = -(-n // m)  # ceil
-    upper1 = n // m + m - 1
-    bound1_ok = all(lower <= ti <= upper1 for ti in t)
-    bound2_ok = support <= n or (support - n) ** 2 <= m * m * n
     return RigidityReport(
         t=tuple(t),
         ell=tuple(ell),
         full=tuple(full),
         split=tuple(ti - fi for ti, fi in zip(t, full)),
-        support_size=support,
-        bound1_ok=bound1_ok,
-        bound2_ok=bound2_ok,
-        lower=lower,
-        upper1=upper1,
+        support_size=len(plan.flows),
+        lower=-(-n // m),  # ceil
     )
 
 
@@ -101,5 +99,4 @@ def pair_counts(plan: TransportPlan) -> PairCountReport:
         total=sum(counts.values()),
         crossings=sum(k * (k - 1) // 2 for k in counts.values()),
         max_pair_count=max(counts.values(), default=0),
-        pair_bound=plan.m * (plan.m - 1) // 2,
     )

@@ -180,12 +180,11 @@ def test_criterion_4_rigidity_bounds(rigidity_corpus):
     violations = 0
     for inst, plan in rigidity_corpus:
         rep = rigidity_report(plan)
-        lower = -(-inst.n // inst.m)
-        upper = inst.n // inst.m + inst.m - 1
-        if not (rep.bound1_ok and rep.bound2_ok):
-            violations += 1
-        elif not all(lower <= ti <= upper for ti in rep.t):
-            violations += 1
+        m, n, s = inst.m, inst.n, rep.support_size
+        # (1) on every fanout; (2) and (3) both say s <= n + m*sqrt(n)
+        bound1 = all(-(-n // m) <= ti <= n // m + m - 1 for ti in rep.t)
+        bound23 = s <= n or (s - n) ** 2 <= m * m * n
+        violations += not (bound1 and bound23)
     elapsed = time.perf_counter() - start
     _report(
         4,
@@ -303,7 +302,7 @@ def test_criterion_10_pair_count_inequality(rigidity_corpus, fig2_runs, sec22_ru
     plans = [plan for _, plan in rigidity_corpus]
     plans += [plan for _, plan, _ in fig2_runs]
     plans += [plan for _, plan, _ in sec22_runs]
-    violations = sum(1 for p in plans if pair_counts(p).total > pair_counts(p).pair_bound)
+    violations = sum(1 for p in plans if pair_counts(p).total > math.comb(p.m, 2))
     _report(
         10,
         violations == 0,

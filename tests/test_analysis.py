@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +8,7 @@ from otrigid import (
     CostMatrix,
     Instance,
     TransportPlan,
+    enumerate_plans,
     gen_random_costs,
     pair_counts,
     rigidity_report,
@@ -23,7 +23,6 @@ def test_single_source_covers_everything():
     rep = rigidity_report(plan)
     assert rep.t == (6,)
     assert rep.ell == (1,) * 6
-    assert rep.bound1_ok and rep.bound2_ok
 
 
 def test_permutation_report():
@@ -33,8 +32,6 @@ def test_permutation_report():
     assert rep.t == (1,) * n
     assert rep.ell == (1,) * n
     assert rep.lower == 1
-    assert rep.upper1 == n  # slack unless n = 1
-    assert rep.bound1_ok and rep.bound2_ok
 
 
 def test_double_count_identity():
@@ -86,7 +83,7 @@ def test_pair_counts_full_2x2():
     assert rep.pair_counts == {(0, 1): 2}
     assert rep.total == 2
     assert rep.crossings == 1
-    assert rep.total > rep.pair_bound  # crossing plan violates the bound
+    assert rep.total > math.comb(2, 2)  # crossing plan violates the bound
 
 
 def test_pair_counts_bounded_for_solver_output():
@@ -95,7 +92,7 @@ def test_pair_counts_bounded_for_solver_output():
         rep = pair_counts(solve(inst))
         assert rep.max_pair_count <= 1
         assert rep.crossings == 0
-        assert rep.total <= rep.pair_bound
+        assert rep.total <= math.comb(6, 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,32 +105,52 @@ def test_cauchy_schwarz_chain(m, n, seed):
     assert lhs <= n + math.sqrt(n) * math.sqrt(2 * pc.total) + 1e-9
 
 
-def _two_source_plan(n, shared):
-    # 2 x n plan at scale 4n: the first `shared` targets are split between the
-    # two sources, the rest go whole to one of them, so the support is n + shared
-    sole = n - shared
-    x0 = [3 if j < 2 * (sole % 2) else 2 for j in range(shared)]
-    flows = [(0, j, f) for j, f in enumerate(x0)] + [(1, j, 4 - f) for j, f in enumerate(x0)]
-    flows += [(0, j, 4) for j in range(shared, shared + sole // 2)]
-    flows += [(1, j, 4) for j in range(shared + sole // 2, n)]
-    plan = TransportPlan(2, n, 4 * n, tuple(flows))
-    plan.validate()
-    assert plan.support_size == n + shared
-    return plan
+def _is_forest(m, n, flows):
+    # union-find over the bipartite graph of the support arcs
+    root = list(range(m + n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i, j, _ in flows:
+        a, b = find(i), find(m + j)
+        if a == b:
+            return False
+        root[a] = b
+    return True
 
 
-@pytest.mark.parametrize("n,shared,ok", [(4, 4, True), (9, 5, True), (9, 6, True),
-                                         (9, 7, False), (16, 8, True), (16, 9, False)])
-def test_bounds_2_3_exact_at_boundary(n, shared, ok):
-    # m = 2 and n a perfect square: support n + 2*sqrt(n) meets (2) and (3)
-    # with equality, and one more arc breaks both
-    rep = rigidity_report(_two_source_plan(n, shared))
-    assert rep.bound2_ok is ok
+def test_rigidity_bounds_hold_on_every_forest_plan():
+    # the paper's bounds are a theorem on vertex plans (see the analysis
+    # docstring): every integral plan of every shape with m <= 4 and
+    # m*n <= 16 meets the lower end of (1), every forest plan meets (1),
+    # (2)/(3) in exact integers and sum_j C(l_j, 2) <= C(m, 2), and plans
+    # with a cycle break each upper inequality somewhere
+    plans = forests = 0
+    broken = [0, 0, 0]
+    for m in range(1, 5):
+        for n in range(1, 16 // m + 1):
+            for plan in enumerate_plans(gen_random_costs(m, n, 0)):
+                rep = rigidity_report(plan)
+                s = rep.support_size
+                assert rep.t_min >= -(-n // m)
+                ok = (rep.t_max <= n // m + m - 1,
+                      s <= n or (s - n) ** 2 <= m * m * n,
+                      pair_counts(plan).total <= math.comb(m, 2))
+                plans += 1
+                if _is_forest(m, n, plan.flows):
+                    forests += 1
+                    assert all(ok)
+                else:
+                    broken = [b + (not k) for b, k in zip(broken, ok)]
+    assert (forests, plans) == (887, 4832)
+    assert all(broken), broken
 
 
 def test_bound_values():
     plan = solve(gen_random_costs(4, 10, 0))
     rep = rigidity_report(plan)
     assert rep.lower == 3  # ceil(10/4)
-    assert rep.upper1 == 2 + 4 - 1  # floor(10/4) + m - 1
     assert rep.excess == rep.t_max - 3
