@@ -22,8 +22,9 @@ class ExperimentSpec:
     """A preset run over seeds.
 
     Also holds the preset's ``m``, ``n``, ``p`` and ``random_costs``; they are
-    not fields.  A preset other than fig1, fig2 or sec22, or fig1 with
-    ``ell < 1``, raises ValueError before anything is written.
+    not fields.  A preset other than fig1, fig2 or sec22, fig1 with
+    ``ell < 1``, an empty ``seeds`` or a negative seed raises ValueError
+    before anything is written.
     """
 
     preset: str
@@ -32,6 +33,10 @@ class ExperimentSpec:
     seeds: tuple = tuple(range(10))
 
     def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.preset == "fig1":
             if self.ell < 1:
                 raise ValueError(f"ell must be at least 1, got {self.ell}")

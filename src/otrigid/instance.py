@@ -49,12 +49,12 @@ MAX_ABS_COST = 2.0**996
 # ~m^2 n^2 / 4 of them, so the list stops here; the verdict stays exact.
 VIOLATION_LIST_LIMIT = 10_000
 
-# Cost differences the genericity scan sorts per numpy pass: a block of source
-# rows against every later source, at most 128 KiB of float64, so it stays in
-# L2. A block never holds less than one source row. At 1 << 15 (256 KiB) each
-# block's arrays crossed glibc's default 128 KiB mmap threshold and came back
-# as fresh pages: inside a fig1 ell=20 run_seed that cost ~96 minor page
-# faults per scan and most of the gain.
+# Cost differences the genericity scan sorts per numpy pass: a chunk of
+# max(1, _SCAN_BLOCK // n) source pairs, each with its n differences, so at
+# most 128 KiB of float64 unless one pair alone is longer; it stays in L2.
+# At 1 << 15 (256 KiB) each chunk's arrays crossed glibc's default 128 KiB
+# mmap threshold and came back as fresh pages: inside a fig1 ell=20
+# run_seed that cost ~96 minor page faults per scan and most of the gain.
 _SCAN_BLOCK = 1 << 14
 
 
@@ -275,17 +275,16 @@ def genericity_check(inst: Instance) -> GenericityReport:
     """Exact scan of quadruples (i<j, k<l) for |c_ik + c_jl - c_il - c_jk| <= costs.tie.
 
     With d = c_i - c_j, a quadruple is a near-tie when |d_k - d_l| <= costs.tie.
-    The differences of a block of sources to every later source are sorted at
-    once (``_SCAN_BLOCK`` entries per block).  Only source pairs whose sorted
-    d has an adjacent gap within the cut can hold a near-tie, because
-    rounded subtraction is monotone: any sorted window
-    ds[hi] - ds[lo] <= costs.tie contains such a gap.  Only those pairs get the
-    two-pointer sweep, started only at such gaps, so the scan is exact and costs
-    O(m^2 n log n) plus the violations it lists.
+    Source pairs i < j are visited in (i, j) order, in chunks of
+    max(1, _SCAN_BLOCK // n) pairs whose differences are sorted in one numpy
+    pass.  Only source pairs whose sorted d has an adjacent gap within the
+    cut can hold a near-tie, because rounded subtraction is monotone: any
+    sorted window ds[hi] - ds[lo] <= costs.tie contains such a gap.  Only
+    those pairs get the two-pointer sweep, started only at such gaps, so the
+    scan is exact and costs O(m^2 n log n) plus the violations it lists.
 
-    Source pairs are visited in (i, j) order.  Once VIOLATION_LIST_LIMIT
-    violations are listed the scan stops at the next one and marks the report
-    truncated; ``generic`` is exact either way.
+    Once VIOLATION_LIST_LIMIT violations are listed the scan stops at the
+    next one and marks the report truncated; ``generic`` is exact either way.
     """
     violations = []
     truncated = _collect_near_ties(inst.costs.c, inst.costs.tie, violations)
@@ -296,40 +295,32 @@ def genericity_check(inst: Instance) -> GenericityReport:
 def _collect_near_ties(c, abs_tol, out):
     """Append near-ties (i, j, k, l) to ``out``; True when the list limit cut the scan."""
     m, n = c.shape
-    b = 0
-    while b < m - 1:
-        # sources a..b-1 against every later source in one (rows, later, n)
-        # block, each pair's n differences sorted in place
-        a = b
-        later = m - 1 - a
-        b = min(m - 1, a + max(1, _SCAN_BLOCK // (later * n)))
-        d3 = c[a:b, None, :] - c[None, a + 1:, :]
-        d3.sort(axis=-1)
-        # close gaps of the flat block; a gap across a row end is no gap
-        flat = d3.reshape(-1)
-        gaps = np.flatnonzero(flat[1:] - flat[:-1] <= abs_tol)
-        if not gaps.size:
-            continue  # the common case: a generic block flags nothing
-        gaps = gaps[gaps % n != n - 1]
-        pair, start = np.divmod(gaps, n)
-        # block pair (r, s) is i = a + r, j = a + 1 + s; those with j <= i
-        # (s < r) are dropped
-        keep = pair % later >= pair // later
-        pair, start = pair[keep], start[keep]
-        # only flagged pairs pay for the indirect sort that names the
-        # targets; they come in (i, j) order
-        flagged, first = np.unique(pair, return_index=True)
-        for p, starts in zip(flagged.tolist(), np.split(start, first[1:])):
-            r, s = divmod(p, later)
-            i, j = a + r, a + 1 + s
-            d = c[i] - c[j]
-            perm = np.argsort(d, kind="stable")
-            row = d[perm]
+    # source pairs i < j are numbered in (i, j) order, source i's from first[i]
+    first = np.concatenate(([0], np.cumsum(np.arange(m - 1, 0, -1))))
+    step = max(1, _SCAN_BLOCK // n)
+    for p in range(0, first[-1], step):
+        pairs = np.arange(p, min(p + step, first[-1]))
+        src_i = first.searchsorted(pairs, side="right") - 1
+        src_j = pairs - first[src_i] + src_i + 1
+        # subtract in place: a third live chunk-sized array made the heap
+        # shrink and regrow, ~125 minor page faults per fig1 ell=20 scan
+        # inside run_seed
+        diffs = c[src_i]
+        diffs -= c[src_j]
+        diffs.sort(axis=1)
+        close = diffs[:, 1:] - diffs[:, :-1] <= abs_tol
+        # only flagged pairs pay for the indirect sort that names the targets
+        for r in np.flatnonzero(close.any(axis=1)).tolist():
+            i, j = int(src_i[r]), int(src_j[r])
+            perm = np.argsort(c[i] - c[j], kind="stable").tolist()
+            # the chunk's sorted row is d[perm]: sorts differ only in the
+            # order of equal floats
+            row = diffs[r].tolist()
             # two-pointer sweep over sorted differences: all (k, l) with
             # |d_k - d_l| <= abs_tol appear as pairs inside a sliding window,
             # and a window can only start where the next gap is close
             hi = 0
-            for lo in starts.tolist():
+            for lo in np.flatnonzero(close[r]).tolist():
                 if hi < lo + 1:
                     hi = lo + 1
                 while hi < n and row[hi] - row[lo] <= abs_tol:
@@ -337,7 +328,7 @@ def _collect_near_ties(c, abs_tol, out):
                 for t in range(lo + 1, hi):
                     if len(out) == VIOLATION_LIST_LIMIT:
                         return True
-                    k, l = int(perm[lo]), int(perm[t])
+                    k, l = perm[lo], perm[t]
                     if k > l:
                         k, l = l, k
                     out.append((i, j, k, l))

@@ -494,6 +494,19 @@ def test_cli_experiment_rejects_ell_below_one(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_cli_experiment_rejects_empty_or_negative_seeds(tmp_path, capsys):
+    out_dir = tmp_path / "exp"
+    for seeds in ("0", "-2"):
+        assert main(["experiment", "--preset", "fig1", "--ell", "1",
+                     "--seeds", seeds, "--out-dir", str(out_dir)]) == 1
+        assert "seeds must not be empty" in capsys.readouterr().err
+        assert not out_dir.exists()
+    # seed 0 comes first, so nothing may be written before -1 is refused
+    with pytest.raises(ValueError, match="seeds must be non-negative, got -1"):
+        run_experiment(ExperimentSpec("fig1", out_dir=str(out_dir), ell=1, seeds=(0, -1)))
+    assert not out_dir.exists()
+
+
 def test_cli_oracle_cap_counts_tables(tmp_path, capsys):
     # a 3x4 instance has exactly 415 integral plans
     inst_path = tmp_path / "x.json"

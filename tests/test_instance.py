@@ -274,7 +274,8 @@ def test_genericity_blocked_scan_matches_per_pair_scan(monkeypatch, limit):
         m, n = c.shape
         abs_tol = TIE_TOL * float(np.max(np.abs(c)))
         want = _per_pair_near_ties(c, abs_tol, limit)
-        for block in (1, 7, m * n, 1 << 20):
+        # n and 2 * n + 1: a block that whole pairs fill and one a difference past them
+        for block in (1, 7, n, 2 * n + 1, m * n, 1 << 20):
             monkeypatch.setattr(instance_mod, "_SCAN_BLOCK", block)
             got = []
             truncated = instance_mod._collect_near_ties(c, abs_tol, got)
