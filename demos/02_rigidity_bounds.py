@@ -15,10 +15,11 @@ import otrigid as ot
 
 for seed in range(3):
     inst = ot.gen_random_costs(7, 2000, seed)
-    rep = ot.rigidity_report(ot.solve(inst))
+    plan = ot.solve(inst)
+    rep, stats = ot.rigidity_report(plan), ot.stats_dict(plan)
     m, n = inst.m, inst.n
     print(f"seed {seed}: fanouts {rep.t}  (lower bound {rep.lower}, "
           f"hard upper bound n // m + m - 1 = {n // m + m - 1}, "
           f"excess over lower {rep.excess})")
-    print(f"  split targets: {sum(l > 1 for l in rep.ell)} of {n} "
-          f"(at most m - 1 = {m - 1}); most shared by one source: {max(rep.split)}")
+    print(f"  split targets: {stats['split_targets']} of {n} "
+          f"(at most m - 1 = {m - 1}); most shared by one source: {stats['max_split']}")

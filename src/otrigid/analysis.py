@@ -18,11 +18,12 @@ them once, on every forest plan of the small shapes.  With support size s:
 Proof.  Target j takes S/n in all, so f_ij <= S/n, and source i ships S/m
 in t_i arcs: t_i >= n/m, the lower end of (1), on every feasible plan.  A
 vertex plan's support is a forest (Klee & Witzgall 1968) on m + n nodes,
-so s <= n + m - 1 and sum_j (l_j - 1) = s - n <= m - 1.  Then d_i <=
-sum_j (l_j - 1) <= m - 1, and with full_i * S/n <= S/m the upper end of (1)
-follows; s <= n + m - 1 <= n + m*sqrt(n) gives (2) and (3); and since
-C(1 + a, 2) + C(1 + b, 2) <= C(1 + a + b, 2), the sum in (4) is largest when
-one target takes all s - n extra sources: at most C(m, 2).
+so s <= n + m - 1 and sum_j (l_j - 1) = s - n <= m - 1.  That sum bounds the
+number of split targets (l_j > 1), which bounds each d_i: both are at most
+m - 1.  With full_i * S/n <= S/m the upper end of (1) follows; s <= n + m - 1
+<= n + m*sqrt(n) gives (2) and (3); and since C(1 + a, 2) + C(1 + b, 2) <=
+C(1 + a + b, 2), the sum in (4) is largest when one target takes all s - n
+extra sources: at most C(m, 2).
 """
 from __future__ import annotations
 
@@ -56,10 +57,8 @@ class RigidityReport:
 
 @dataclass(frozen=True)
 class PairCountReport:
-    pair_counts: dict  # {(i, i2): common-target count}, only nonzero pairs
-    total: int  # sum_j C(l_j, 2)
     crossings: int  # sum over source pairs of C(common targets, 2)
-    max_pair_count: int
+    max_pair_count: int  # most targets one source pair shares
 
 
 def rigidity_report(plan: TransportPlan) -> RigidityReport:
@@ -85,18 +84,15 @@ def rigidity_report(plan: TransportPlan) -> RigidityReport:
 
 
 def pair_counts(plan: TransportPlan) -> PairCountReport:
-    """Common-target counts per source pair, and the crossings they make.
+    """Crossings, counted without listing them, and the most shared targets.
 
-    Each target j adds one to the count of each of the C(l_j, 2) source pairs
-    it serves, so ``total``, the sum of the counts, is sum_j C(l_j, 2).  A
-    source pair with k common targets makes C(k, 2) crossings, so
-    ``crossings`` costs nothing beyond the counts, however many crossings
-    there are.
+    A source pair with k common targets makes C(k, 2) crossings, so the count
+    costs one pass over the pairs' common targets, however many crossings
+    there are.  A vertex plan has no crossing (its support is a forest), so
+    the stats JSON leaves this out; ``otrigid uncross`` reports it.
     """
-    counts = {pair: len(common) for pair, common in shared_targets(plan).items()}
+    counts = [len(common) for common in shared_targets(plan).values()]
     return PairCountReport(
-        pair_counts=counts,
-        total=sum(counts.values()),
-        crossings=sum(k * (k - 1) // 2 for k in counts.values()),
-        max_pair_count=max(counts.values(), default=0),
+        crossings=sum(k * (k - 1) // 2 for k in counts),
+        max_pair_count=max(counts, default=0),
     )

@@ -9,7 +9,7 @@ import csv
 import json
 import math
 
-from .analysis import pair_counts, rigidity_report
+from .analysis import rigidity_report
 from .constructions import PermutationDecomposition
 from .instance import CostMatrix, Geometry, Instance, PointCloud
 from .solver import TransportPlan
@@ -115,7 +115,7 @@ def load_plan_csv(path, m=None, n=None, scale=None) -> TransportPlan:
 
 
 def stats_dict(plan: TransportPlan) -> dict:
-    """The stats JSON payload for a plan."""
+    """The stats JSON payload for a plan, all of it from one ``rigidity_report``."""
     rep = rigidity_report(plan)
     return {
         "m": plan.m,
@@ -127,7 +127,8 @@ def stats_dict(plan: TransportPlan) -> dict:
         "t_max": rep.t_max,
         "t_mean": rep.support_size / plan.m,
         "ell_mean": rep.support_size / plan.n,
-        "crossings": pair_counts(plan).crossings,
+        "split_targets": sum(lj > 1 for lj in rep.ell),
+        "max_split": max(rep.split),
     }
 
 

@@ -13,6 +13,7 @@ from otrigid import (
     pair_counts,
     rigidity_report,
     solve,
+    stats_dict,
 )
 
 C23 = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
@@ -70,39 +71,41 @@ def test_fanout_split_bounds():
             assert rep.split[i] <= inst.m - 1  # non-crossing plans
 
 
+def _pair_sum(plan):
+    # sum_j C(l_j, 2): the source pairs summed over shared targets, bound (4)
+    return sum(math.comb(lj, 2) for lj in rigidity_report(plan).ell)
+
+
 def test_pair_counts_permutation():
     plan = solve(gen_random_costs(7, 7, 4))
     rep = pair_counts(plan)
-    assert rep.total == rep.crossings == 0
-    assert rep.pair_counts == {}
+    assert rep.crossings == rep.max_pair_count == _pair_sum(plan) == 0
 
 
 def test_pair_counts_full_2x2():
     plan = TransportPlan(2, 2, 4, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
     rep = pair_counts(plan)
-    assert rep.pair_counts == {(0, 1): 2}
-    assert rep.total == 2
+    assert rep.max_pair_count == 2
     assert rep.crossings == 1
-    assert rep.total > math.comb(2, 2)  # crossing plan violates the bound
+    assert _pair_sum(plan) == 2 > math.comb(2, 2)  # crossing plan violates the bound
 
 
 def test_pair_counts_bounded_for_solver_output():
     for seed in range(10):
         inst = gen_random_costs(6, 17, seed)
-        rep = pair_counts(solve(inst))
+        plan = solve(inst)
+        rep = pair_counts(plan)
         assert rep.max_pair_count <= 1
         assert rep.crossings == 0
-        assert rep.total <= math.comb(6, 2)
+        assert _pair_sum(plan) <= math.comb(6, 2)
 
 
 @settings(max_examples=25, deadline=None)
 @given(m=st.integers(2, 6), n=st.integers(2, 20), seed=st.integers(0, 10**6))
 def test_cauchy_schwarz_chain(m, n, seed):
     plan = solve(gen_random_costs(m, n, seed))
-    rep = rigidity_report(plan)
-    pc = pair_counts(plan)
-    lhs = sum(rep.ell)
-    assert lhs <= n + math.sqrt(n) * math.sqrt(2 * pc.total) + 1e-9
+    lhs = sum(rigidity_report(plan).ell)
+    assert lhs <= n + math.sqrt(n) * math.sqrt(2 * _pair_sum(plan)) + 1e-9
 
 
 def _is_forest(m, n, flows):
@@ -126,8 +129,9 @@ def test_rigidity_bounds_hold_on_every_forest_plan():
     # the paper's bounds are a theorem on vertex plans (see the analysis
     # docstring): every integral plan of every shape with m <= 4 and
     # m*n <= 16 meets the lower end of (1), every forest plan meets (1),
-    # (2)/(3) in exact integers and sum_j C(l_j, 2) <= C(m, 2), and plans
-    # with a cycle break each upper inequality somewhere
+    # (2)/(3) in exact integers and sum_j C(l_j, 2) <= C(m, 2), its stats
+    # JSON has split_targets and max_split at most m - 1, and plans with a
+    # cycle break each upper inequality somewhere
     plans = forests = 0
     broken = [0, 0, 0]
     for m in range(1, 5):
@@ -138,11 +142,14 @@ def test_rigidity_bounds_hold_on_every_forest_plan():
                 assert rep.t_min >= -(-n // m)
                 ok = (rep.t_max <= n // m + m - 1,
                       s <= n or (s - n) ** 2 <= m * m * n,
-                      pair_counts(plan).total <= math.comb(m, 2))
+                      _pair_sum(plan) <= math.comb(m, 2))
                 plans += 1
                 if _is_forest(m, n, plan.flows):
                     forests += 1
                     assert all(ok)
+                    stats = stats_dict(plan)
+                    assert stats["split_targets"] <= m - 1
+                    assert stats["max_split"] <= m - 1
                 else:
                     broken = [b + (not k) for b, k in zip(broken, ok)]
     assert (forests, plans) == (887, 4832)

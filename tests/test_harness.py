@@ -23,6 +23,7 @@ from otrigid import (
     load_instance,
     load_plan_csv,
     objective,
+    pair_counts,
     run_experiment,
     save_instance,
     save_plan_csv,
@@ -205,7 +206,7 @@ def test_stats_json_roundtrip(tmp_path):
     assert data["m"] == 3 and data["n"] == 8
     assert sum(data["t"]) == data["support_size"] == sum(data["ell"])
     assert set(data) == {"m", "n", "support_size", "t", "ell", "t_min", "t_max",
-                         "t_mean", "ell_mean", "crossings"}
+                         "t_mean", "ell_mean", "split_targets", "max_split"}
     # re-emit from parsed values must be byte-identical
     reemitted = (json.dumps(data, sort_keys=True) + "\n").encode()
     assert reemitted == first
@@ -265,12 +266,12 @@ def test_svg_digest():
 # sha256 over the files run_experiment writes for fig1 ell=10 s0-9 (plan CSVs,
 # stats JSON, SVGs and summary.json), each as name, NUL, bytes, in name order;
 # the emitted bytes must not change
-EXPERIMENT_DIGEST = "10fcb49905c68052b173019ab4f9e69cdf8cb6a3d3bb8d567d91fd6a7e4c01ae"
+EXPERIMENT_DIGEST = "9007d498b90e8b46c787a56d110441e7852ef3794020464c86ae42b77441795f"
 
 
 # The same over the files run_experiment writes for sec22 s0-2 (plan CSVs,
 # stats JSON and summary.json; random costs have no SVG)
-SEC22_EXPERIMENT_DIGEST = "21a3fb1429774f4735499362cb378ac1bef63e05903f87ebaeb15bfad4b4243f"
+SEC22_EXPERIMENT_DIGEST = "bef7cd2cb3e1b14eb6865a365472b1b6b31230662fa4e6c65d9af6de8c9a53c5"
 
 
 def _output_digest(out_dir):
@@ -292,14 +293,14 @@ def test_experiment_output_digest_sec22(tmp_path):
 
 
 # fig1 ell=10 seed 0's stats JSON, byte for byte: the payload it had with
-# "bounds": {"b1": true, "b2": true, "b3": true}, less that block
+# "bounds": {"b1": true, "b2": true, "b3": true}, less that block, and with
+# "split_targets" and "max_split" in place of "crossings": 0
 FIG1_S0_STATS = (
-    '{"crossings": 0, '
-    '"ell": [1, 2, 1, 1, 2, 1, 1, 1, 1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1, 1, '
+    '{"ell": [1, 2, 1, 1, 2, 1, 1, 1, 1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1, 1, '
     '2, 1, 1, 1, 1, 2, 1, 2, 1, 2], "ell_mean": 1.3666666666666667, "m": '
-    '20, "n": 30, "support_size": 41, "t": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, '
-    '2, 2, 2, 2, 3, 2, 2, 2, 2, 2], "t_max": 3, "t_mean": 2.05, "t_min": '
-    '2}\n'
+    '20, "max_split": 3, "n": 30, "split_targets": 11, "support_size": 41, '
+    '"t": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 2, 2, 2, 2, 2], '
+    '"t_max": 3, "t_mean": 2.05, "t_min": 2}\n'
 )
 
 
@@ -348,13 +349,13 @@ def test_run_seed_computes_stats_once(tmp_path, monkeypatch):
     from otrigid import experiments, io
 
     calls = []
-    real = io.pair_counts
+    real = io.rigidity_report
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(io, "pair_counts", counted)
+    monkeypatch.setattr(io, "rigidity_report", counted)
     spec = ExperimentSpec(preset="fig1", out_dir=str(tmp_path), ell=3)
     record = experiments.run_seed(spec, 0, spec.out_dir)
     assert len(calls) == 1
@@ -429,11 +430,11 @@ def test_stats_count_crossings_without_listing_them():
     plan = _product_plan(40, 41)
     tracemalloc.start()
     try:
-        stats = stats_dict(plan)
+        crossings = pair_counts(plan).crossings
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stats["crossings"] == math.comb(40, 2) * math.comb(41, 2) == 639600
+    assert crossings == math.comb(40, 2) * math.comb(41, 2) == 639600
     assert peak < 10 * 2**20
 
 
@@ -444,9 +445,10 @@ def test_cli_on_dense_product_plan(tmp_path, capsys):
     save_instance(inst, inst_path)
     save_plan_csv(plan, plan_path)
     assert main(["analyze", "--instance", str(inst_path), "--plan", str(plan_path)]) == 0
+    # every target is split, and every source shares all 41 of them
     assert capsys.readouterr().out == json.dumps({
-        "crossings": 639600,
-        "ell": [40] * 41, "ell_mean": 40.0, "m": 40, "n": 41, "support_size": 1640,
+        "ell": [40] * 41, "ell_mean": 40.0, "m": 40, "max_split": 41, "n": 41,
+        "split_targets": 41, "support_size": 1640,
         "t": [41] * 40, "t_max": 41, "t_mean": 41.0, "t_min": 41,
     }) + "\n"
     out_path = tmp_path / "uncrossed.csv"
