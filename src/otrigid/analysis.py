@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .solver import TransportPlan, shared_targets
+from .solver import TransportPlan, target_masks
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,15 @@ def rigidity_report(plan: TransportPlan) -> RigidityReport:
 def pair_counts(plan: TransportPlan) -> PairCountReport:
     """Crossings, counted without listing them, and the most shared targets.
 
-    A source pair with k common targets makes C(k, 2) crossings, so the count
-    costs one pass over the pairs' common targets, however many crossings
-    there are.  A vertex plan has no crossing (its support is a forest), so
-    the stats JSON leaves this out; ``otrigid uncross`` reports it.
+    A source pair with k common targets makes C(k, 2) crossings, and k is
+    the popcount of the ``&`` of the pair's target bitsets (``target_masks``,
+    the ones ``uncross`` keeps), so the count costs one ``&`` per source
+    pair, however many crossings there are.  A vertex plan has no crossing
+    (its support is a forest), so the stats JSON leaves this out;
+    ``otrigid uncross`` reports it.
     """
-    counts = [len(common) for common in shared_targets(plan).values()]
+    masks = target_masks(plan)
+    counts = [(a & b).bit_count() for k, a in enumerate(masks) for b in masks[k + 1:]]
     return PairCountReport(
         crossings=sum(k * (k - 1) // 2 for k in counts),
         max_pair_count=max(counts, default=0),

@@ -256,10 +256,10 @@ def perturb(inst: Instance, eta: float, seed) -> Instance:
     An entry that the jitter would push past MAX_ABS_COST has it subtracted
     instead, which keeps it within the bound whenever eta <= 1.  Geometry is
     dropped: the perturbed costs are no longer exact powers of distances.
-    Deterministic per seed.
+    Deterministic per seed.  Raises ValueError unless eta is positive and finite.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:  # also false for nan
+        raise ValueError("eta must be positive and finite")
     rng = np.random.default_rng(seed)
     scale = inst.costs.max_abs
     if scale == 0.0:

@@ -518,42 +518,35 @@ def _solve_difference_constraints(w, abs_tol):
     return delta
 
 
-def shared_targets(plan: TransportPlan) -> dict:
-    """{(i, i2): ascending targets both serve} for every source pair i < i2
-    sharing at least one target.
-
-    Built from the targets' side: each target lists the sources it serves,
-    so the cost is the sum over targets of C(sources served, 2) rather than
-    m^2 set intersections.
-    """
-    by_target = [[] for _ in range(plan.n)]
-    for i, j, _ in plan.flows:  # (i, j) order: each list is ascending
-        by_target[j].append(i)
-    shared = {}
-    for j, sources in enumerate(by_target):
-        for a, i in enumerate(sources):
-            for i2 in sources[a + 1:]:
-                shared.setdefault((i, i2), []).append(j)
-    return shared
+def target_masks(plan: TransportPlan) -> list:
+    """Per source, an int bitset of the targets it serves: bit j of entry i
+    is set iff f_ij > 0."""
+    masks = [0] * plan.m
+    for i, j, _ in plan.flows:
+        masks[i] |= 1 << j
+    return masks
 
 
 def find_crossings(plan: TransportPlan):
     """All (i, i2, j, j2) tuples, i < i2 and j < j2, whose four flows are positive.
 
-    Only source pairs sharing two or more targets (``shared_targets``) yield
-    crossings, so only those pairs are sorted and walked.  A plan can have
-    ~m^2 n^2 / 4 crossings, so a caller that only counts them reads
-    ``analysis.pair_counts(plan).crossings`` instead.  The library itself
-    only counts; this list is kept for bench/workloads.py and as the tests'
-    reference for ``uncross``.
+    It reads the same per-source target bitsets that ``uncross`` keeps
+    (``target_masks``): a pair's common targets are one ``&``, and only a
+    pair sharing two or more yields crossings, listed in ascending bit
+    order.  A plan can have ~m^2 n^2 / 4 crossings, so a caller that only
+    counts them reads ``analysis.pair_counts(plan).crossings`` instead.  The
+    library itself only counts; this list is kept for bench/workloads.py and
+    as the tests' reference for ``uncross``.
     """
-    pairs = sorted(item for item in shared_targets(plan).items() if len(item[1]) > 1)
-    return [
-        (i, i2, j, j2)
-        for (i, i2), common in pairs
-        for a, j in enumerate(common)
-        for j2 in common[a + 1:]
-    ]
+    masks = target_masks(plan)
+    out = []
+    for i, mi in enumerate(masks):
+        for i2 in range(i + 1, plan.m):
+            common = mi & masks[i2]
+            if common & (common - 1):
+                js = [j for j in range(common.bit_length()) if common >> j & 1]
+                out.extend((i, i2, j, j2) for a, j in enumerate(js) for j2 in js[a + 1:])
+    return out
 
 
 def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
@@ -588,7 +581,7 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     tie = inst.costs.tie
     m = plan.m
     rows = [[0] * plan.n for _ in range(m)]  # rows[i][j] = f_ij
-    masks = [0] * m  # bit j of masks[i] set iff f_ij > 0
+    masks = [0] * m  # target_masks(plan), filled in the same pass as rows
     for i, j, f in plan.flows:
         rows[i][j] = f
         masks[i] |= 1 << j

@@ -24,6 +24,7 @@ from otrigid import (
     load_plan_csv,
     objective,
     pair_counts,
+    perturb,
     run_experiment,
     save_instance,
     save_plan_csv,
@@ -424,7 +425,7 @@ def _product_plan(m, n):
     return TransportPlan(m, n, m * n, tuple((i, j, 1) for i in range(m) for j in range(n)))
 
 
-def test_stats_count_crossings_without_listing_them():
+def test_pair_counts_counts_crossings_without_listing_them():
     # the all-ones 40x41 plan has C(40,2) * C(41,2) crossings; listing them
     # peaked at ~74 MB, counting them from the source pairs takes under 1
     plan = _product_plan(40, 41)
@@ -620,6 +621,19 @@ def test_cli_perturb_at_cost_bound(tmp_path):
                  "--seed", "0", "--out", str(out_path)]) == 0
     costs = load_instance(out_path).costs.c
     assert np.all(costs <= 2.0**996) and len(np.unique(costs)) == 4
+
+
+def test_perturb_rejects_eta_not_positive_and_finite(tmp_path, capsys):
+    inst = gen_random_costs(2, 3, 0)
+    for eta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            perturb(inst, eta, 0)
+    inst_path, out_path = tmp_path / "inst.json", tmp_path / "perturbed.json"
+    save_instance(inst, inst_path)
+    assert main(["perturb", "--instance", str(inst_path), "--eta", "nan",
+                 "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == "error: eta must be positive and finite\n"
+    assert not out_path.exists()
 
 
 def test_cli_gen_deterministic(tmp_path):

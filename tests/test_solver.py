@@ -36,6 +36,7 @@ from otrigid.solver import (
     _solve_difference_constraints,
     find_crossings,
     scaled_objective,
+    target_masks,
 )
 from otrigid.svg import svg_document
 
@@ -439,10 +440,11 @@ def _brute_force_crossings(plan):
 
 @pytest.mark.parametrize("density", [0.1, 0.3, 0.6, 1.0])
 @pytest.mark.parametrize("m,n,seed", [(1, 6, 0), (6, 1, 1), (2, 2, 2), (5, 9, 3),
-                                      (9, 5, 4), (12, 12, 5)])
+                                      (9, 5, 4), (12, 12, 5), (3, 130, 6), (9, 70, 7)])
 def test_find_crossings_matches_brute_force(m, n, seed, density):
     # density 1.0 is the full product coupling; below it, a sum of
-    # northwest-corner plans (at most m+n-1 arcs each) about that dense
+    # northwest-corner plans (at most m+n-1 arcs each) about that dense.
+    # n = 130 and 70 put targets past bit 63 of the per-source bitsets
     rng = np.random.default_rng(seed)
     if density == 1.0:
         plan = TransportPlan(m, n, m * n, tuple((i, j, 1) for i in range(m) for j in range(n)))
@@ -450,8 +452,10 @@ def test_find_crossings_matches_brute_force(m, n, seed, density):
         plan = _random_sparse_plan(rng, m, n, math.ceil(density * m * n / (m + n - 1)))
     got = find_crossings(plan)
     assert got == _brute_force_crossings(plan)
-    # pair_counts reads the same source-pair index, and counts the same crossings
+    # pair_counts reads the same per-source target bitsets, and counts the same crossings
     pos = plan.flow_dict()
+    assert target_masks(plan) == [sum(1 << j for j in range(n) if (i, j) in pos)
+                                  for i in range(m)]
     common = {(i, i2): sum((i, j) in pos and (i2, j) in pos for j in range(n))
               for i in range(m) for i2 in range(i + 1, m)}
     rep = pair_counts(plan)
