@@ -6,12 +6,7 @@ network simplex returning exact polytope vertices; analysis quantifies how
 rigid their support structure is.
 """
 
-from .analysis import (
-    PairCountReport,
-    RigidityReport,
-    pair_counts,
-    rigidity_report,
-)
+from .analysis import pair_counts, rigidity_report
 from .constructions import (
     PermutationDecomposition,
     birkhoff_decompose,
@@ -19,7 +14,6 @@ from .constructions import (
 from .experiments import ExperimentSpec, run_experiment
 from .instance import (
     CostMatrix,
-    GenericityReport,
     Geometry,
     Instance,
     PointCloud,
@@ -40,7 +34,6 @@ from .io import (
 )
 from .oracle import OracleCapExceeded, OracleResult, brute_force_solve, enumerate_plans
 from .solver import (
-    DualCertificate,
     SupportCycleError,
     TransportPlan,
     objective,
@@ -53,17 +46,13 @@ from .svg import emit_svg
 
 __all__ = [
     "CostMatrix",
-    "DualCertificate",
     "ExperimentSpec",
-    "GenericityReport",
     "Geometry",
     "Instance",
     "OracleCapExceeded",
     "OracleResult",
-    "PairCountReport",
     "PermutationDecomposition",
     "PointCloud",
-    "RigidityReport",
     "SupportCycleError",
     "TransportPlan",
     "birkhoff_decompose",

@@ -100,6 +100,11 @@ def _build_parser():
 
 def _run(args) -> int:
     cmd = args.command
+    # checked here so that the message names the option, not numpy's argument
+    for opt, least in (("m", 1), ("n", 1), ("seed", 0)):
+        value = getattr(args, opt, least)
+        if value < least:
+            raise ValueError(f"--{opt} must be at least {least}, got {value}")
     if cmd == "solve":
         inst = load_instance(args.instance)
         plan = solve(inst)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import instance as inst_mod
 from .instance import Instance, genericity_check, perturb
-from .io import save_plan_csv, save_stats_json, stats_dict
+from .io import save_plan_csv, save_stats_json, stats_dict, write_text
 from .solver import solve
 from .svg import emit_svg
 
@@ -107,7 +107,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "perturbed_seeds": [r["seed"] for r in records if r["perturbed"]],
         "records": records,
     }
-    with open(os.path.join(spec.out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_text(os.path.join(spec.out_dir, "summary.json"),
+               json.dumps(summary, sort_keys=True, indent=1) + "\n")
     return summary

@@ -1,7 +1,8 @@
 """File formats: instance JSON, plan CSV, stats JSON, decomposition JSON (written only).
 
 All emitters are deterministic: identical inputs produce byte-identical
-files.
+files.  Every file otrigid writes, SVG and ``summary.json`` included, goes
+through ``write_text``.
 """
 from __future__ import annotations
 
@@ -43,9 +44,14 @@ def instance_from_dict(data: dict) -> Instance:
     return Instance(costs, geometry)
 
 
+def write_text(path, text: str):
+    """Write ``text`` to ``path`` in one ``write``: UTF-8, LF line ends on any OS."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def save_instance(inst: Instance, path):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(instance_to_dict(inst)) + "\n")
+    write_text(path, json.dumps(instance_to_dict(inst)) + "\n")
 
 
 def load_instance(path) -> Instance:
@@ -64,8 +70,7 @@ def plan_csv_lines(plan: TransportPlan):
 
 
 def save_plan_csv(plan: TransportPlan, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(plan_csv_lines(plan)) + "\n")
+    write_text(path, "\n".join(plan_csv_lines(plan)) + "\n")
 
 
 def load_plan_csv(path, m=None, n=None, scale=None) -> TransportPlan:
@@ -139,8 +144,7 @@ def stats_json_text(stats: dict) -> str:
 
 def save_stats_json(stats: dict, path):
     """Write a ``stats_dict`` payload as the stats JSON file."""
-    with open(path, "w") as fh:
-        fh.write(stats_json_text(stats))
+    write_text(path, stats_json_text(stats))
 
 
 def decomposition_to_dict(dec: PermutationDecomposition) -> dict:
@@ -153,5 +157,4 @@ def decomposition_to_dict(dec: PermutationDecomposition) -> dict:
 
 
 def save_decomposition_json(dec: PermutationDecomposition, path):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(decomposition_to_dict(dec)) + "\n")
+    write_text(path, json.dumps(decomposition_to_dict(dec)) + "\n")

@@ -569,15 +569,14 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     and the next entry are the next (j, j2).
 
     Each source keeps its support as an int bitset over targets and its flows
-    in a list row (a list indexes faster than a dict on the measured inputs),
-    so a pair's common targets are one ``&``, "fewer than two" is one
-    ``x & (x - 1)``, and the walk takes the lowest set bit each step.  The
-    output support is a subset of the input one, so it is read off the input
-    flows in their order.
+    in a list row (a list indexes faster than a dict on the measured inputs);
+    the costs become list rows in one ``tolist``.  A pair's common targets
+    are then one ``&``, "fewer than two" is one ``x & (x - 1)``, and the walk
+    takes the lowest set bit each step.  The output support is a subset of
+    the input one, so it is read off the input flows in their order.
     Raises ValueError when the shapes differ.
     """
     check_shape(inst, plan)
-    c = inst.costs.c
     tie = inst.costs.tie
     m = plan.m
     rows = [[0] * plan.n for _ in range(m)]  # rows[i][j] = f_ij
@@ -585,9 +584,7 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     for i, j, f in plan.flows:
         rows[i][j] = f
         masks[i] |= 1 << j
-    # cost rows as lists, read only for sources that push: a crossing-free
-    # plan on a wide matrix then converts no costs at all
-    crow = [None] * m
+    crow = inst.costs.c.tolist()
 
     for i, ri in enumerate(rows):
         for i2 in range(i + 1, m):
@@ -597,13 +594,7 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
             common = mi & masks[i2]
             if not common & (common - 1):
                 continue
-            ci = crow[i]
-            if ci is None:
-                ci = crow[i] = c[i].tolist()
-            c2 = crow[i2]
-            if c2 is None:
-                c2 = crow[i2] = c[i2].tolist()
-            r2 = rows[i2]
+            ci, c2, r2 = crow[i], crow[i2], rows[i2]
             low = common & -common
             j = low.bit_length() - 1  # the window's first slot; -1 when empty
             common ^= low

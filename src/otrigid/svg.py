@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .instance import Instance
+from .io import write_text
 from .solver import TransportPlan, check_shape
 
 VIEWPORT = 800.0
@@ -69,6 +70,4 @@ def svg_document(inst: Instance, plan: TransportPlan) -> str:
 
 
 def emit_svg(inst: Instance, plan: TransportPlan, path):
-    doc = svg_document(inst, plan)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(doc)
+    write_text(path, svg_document(inst, plan))

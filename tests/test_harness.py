@@ -636,6 +636,74 @@ def test_perturb_rejects_eta_not_positive_and_finite(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_perturb_rejects_eta_above_one(tmp_path, capsys):
+    inst = gen_random_costs(2, 3, 0)
+    for eta in (2.0, 1e308):
+        with pytest.raises(ValueError, match="eta must be at most 1"):
+            perturb(inst, eta, 0)
+    perturb(inst, 1.0, 0)
+    inst_path, out_path = tmp_path / "inst.json", tmp_path / "perturbed.json"
+    save_instance(inst, inst_path)
+    assert main(["perturb", "--instance", str(inst_path), "--eta", "1e308",
+                 "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == "error: eta must be at most 1\n"
+    assert not out_path.exists()
+
+
+def test_cli_names_a_bad_seed_or_size(tmp_path, capsys):
+    inst_path, out_path = tmp_path / "inst.json", tmp_path / "out.json"
+    save_instance(gen_random_costs(2, 3, 0), inst_path)
+    for option, argv in (
+        ("--seed", ["gen", "--m", "2", "--n", "3", "--seed", "-1"]),
+        ("--seed", ["gen", "--random-costs", "--m", "2", "--n", "3", "--seed", "-1"]),
+        ("--seed", ["perturb", "--instance", str(inst_path), "--eta", "1e-9",
+                    "--seed", "-1"]),
+        ("--m", ["gen", "--m", "-2", "--n", "3"]),
+        ("--n", ["gen", "--m", "2", "--n", "-2"]),
+        ("--m", ["gen", "--random-costs", "--m", "-2", "--n", "3"]),
+        ("--n", ["gen", "--random-costs", "--m", "2", "--n", "-2"]),
+    ):
+        assert main(argv + ["--out", str(out_path)]) == 1, argv
+        assert capsys.readouterr().err.startswith(f"error: {option} must be at least"), argv
+        assert not out_path.exists()
+
+
+def test_every_emitted_file_goes_through_io_write_text(tmp_path, monkeypatch):
+    import builtins
+
+    import otrigid.io
+
+    opened = set()
+
+    def recording_open(path, mode="r", **kwargs):
+        opened.add((os.path.realpath(path), mode, kwargs.get("newline"),
+                    kwargs.get("encoding")))
+        return builtins.open(path, mode, **kwargs)
+
+    monkeypatch.setattr(otrigid.io, "open", recording_open, raising=False)
+    exp_dir, cli_dir = tmp_path / "exp", tmp_path / "cli"
+    run_experiment(ExperimentSpec("fig1", out_dir=str(exp_dir), ell=2, seeds=(0,)))
+    cli_dir.mkdir()
+    inst, plan, sq, sq_plan = (str(cli_dir / f) for f in
+                               ("inst.json", "plan.csv", "sq.json", "sq.csv"))
+    for argv in (
+        ["gen", "--m", "2", "--n", "3", "--p", "1", "--out", inst],
+        ["solve", "--instance", inst, "--out-plan", plan,
+         "--out-stats", str(cli_dir / "stats.json")],
+        ["plot", "--instance", inst, "--plan", plan, "--out", str(cli_dir / "plan.svg")],
+        ["gen", "--random-costs", "--m", "3", "--n", "3", "--out", sq],
+        ["solve", "--instance", sq, "--out-plan", sq_plan],
+        ["birkhoff", "--plan", sq_plan, "--out", str(cli_dir / "dec.json")],
+        ["uncross", "--instance", inst, "--plan", plan, "--out", str(cli_dir / "fixed.csv")],
+        ["perturb", "--instance", inst, "--eta", "1e-9", "--out", str(cli_dir / "pert.json")],
+    ):
+        assert main(argv) == 0, argv
+    files = sorted(os.path.realpath(p) for d in (exp_dir, cli_dir) for p in d.iterdir())
+    assert len(files) == 4 + 9  # fig1 s0's CSV, stats, SVG and summary; 9 CLI files
+    for path in files:
+        assert (path, "w", "\n", "utf-8") in opened, path
+
+
 def test_cli_gen_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
