@@ -97,6 +97,42 @@ def test_birkhoff_output_digest():
     assert h.hexdigest() == BIRKHOFF_DIGEST
 
 
+def _weighted_permutation_sum(rng, n, k):
+    """Sum of k random permutations with integer weights 1..4, as a plan."""
+    weights = rng.integers(1, 5, k).tolist()
+    flows = {}
+    for w in weights:
+        for i, j in enumerate(rng.permutation(n).tolist()):
+            flows[(i, j)] = flows.get((i, j), 0) + w
+    return TransportPlan(n, n, n * sum(weights), tuple((i, j, f) for (i, j), f in flows.items()))
+
+
+# sha256 over the decomposition JSON (sorted keys, one line each) of 240
+# weighted permutation sums (n = 2..9, 2..6 terms) and the uniform n x n
+# plans, n = 2..9.  A solved square plan is a permutation and decomposes in
+# one round; these need several, so the digest pins which permutation each
+# later round picks.  Recorded from the decomposition that re-sorted its
+# whole residual every round.
+BIRKHOFF_MULTI_ROUND_DIGEST = "519532bf0f60718b575fc42054bd3040896e6b7898e7ffe119928d55d74a9662"
+
+
+def test_birkhoff_multi_round_digest():
+    rng = np.random.default_rng(20261020)
+    plans = [_weighted_permutation_sum(rng, int(rng.integers(2, 10)), int(rng.integers(2, 7)))
+             for _ in range(240)]
+    plans += [TransportPlan(n, n, n * n, tuple((i, j, 1) for i in range(n) for j in range(n)))
+              for n in range(2, 10)]
+    h = hashlib.sha256()
+    rounds = []
+    for plan in plans:
+        dec = birkhoff_decompose(plan)
+        rounds.append(len(dec.terms))
+        h.update((json.dumps(decomposition_to_dict(dec), sort_keys=True) + "\n").encode())
+    assert rounds[-8:] == list(range(2, 10))  # the uniform n x n plan takes n rounds
+    assert sum(r > 1 for r in rounds) > 200
+    assert h.hexdigest() == BIRKHOFF_MULTI_ROUND_DIGEST
+
+
 def test_birkhoff_long_augmenting_path():
     # identity plus cyclic shift: the last row's augmenting path runs through
     # every other row, 1500 steps, which overflowed a recursive matching
