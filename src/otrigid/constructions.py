@@ -96,22 +96,23 @@ def birkhoff_decompose(plan: TransportPlan) -> PermutationDecomposition:
         raise ValueError("Birkhoff decomposition requires m = n")
     n = plan.n
     S = plan.scale
-    residual = plan.flow_dict()
+    # residual[i] = {j: f_ij}: flows are sorted, so each row's keys are in
+    # ascending j, and deleting a key keeps that order for the matching scan
+    residual = [{} for _ in range(n)]
+    for i, j, f in plan.flows:
+        residual[i][j] = f
     terms = []
-    while residual:
-        support_by_row = [[] for _ in range(n)]
-        for (i, j) in sorted(residual):
-            support_by_row[i].append(j)
-        sigma = _perfect_matching(support_by_row, n)
+    while residual[0]:  # every row has the same residual mass
+        sigma = _perfect_matching(residual, n)
         if sigma is None:
             raise AssertionError("support of a feasible square plan must contain a matching")
-        w = min(residual[(i, sigma[i])] for i in range(n))
+        w = min(row[j] for row, j in zip(residual, sigma))
         terms.append((sigma, Fraction(w, S // n)))
-        for i in range(n):
-            arc = (i, sigma[i])
-            residual[arc] -= w
-            if residual[arc] == 0:
-                del residual[arc]
+        for row, j in zip(residual, sigma):
+            if row[j] == w:
+                del row[j]
+            else:
+                row[j] -= w
     return PermutationDecomposition(n=n, terms=tuple(terms))
 
 

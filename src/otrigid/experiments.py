@@ -23,8 +23,9 @@ class ExperimentSpec:
 
     Also holds the preset's ``m``, ``n``, ``p`` and ``random_costs``; they are
     not fields.  A preset other than fig1, fig2 or sec22, fig1 with
-    ``ell < 1``, an empty ``seeds`` or a negative seed raises ValueError
-    before anything is written.
+    ``ell < 1``, an empty ``seeds``, a negative seed, or a seed or ``ell``
+    that is not an int (a bool included) raises ValueError before anything
+    is written.
     """
 
     preset: str
@@ -35,8 +36,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must not be empty")
+        for seed in self.seeds:
+            if type(seed) is not int:  # bools and numpy ints too
+                raise ValueError(f"seeds must be ints, got {seed!r}")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if type(self.ell) is not int:
+            raise ValueError(f"ell must be an int, got {self.ell!r}")
         if self.preset == "fig1":
             if self.ell < 1:
                 raise ValueError(f"ell must be at least 1, got {self.ell}")

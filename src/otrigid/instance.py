@@ -59,7 +59,8 @@ _SCAN_BLOCK = 1 << 14
 
 
 def _float_array(data, what):
-    """A new float64 array of ``data``; ValueError unless every entry is a real number.
+    """A new float64 array of ``data``; ValueError unless every entry is a
+    real number that fits in a float.
 
     numpy alone would read "0.5" as 0.5, True as 1.0 and None as nan.  Float
     and int arrays skip the per-entry type check.
@@ -68,7 +69,10 @@ def _float_array(data, what):
         for t in dict.fromkeys(map(type, np.array(data, dtype=object).flat)):
             if not issubclass(t, numbers.Real) or issubclass(t, bool):
                 raise ValueError(f"{what} entries must be numbers, not {t.__name__}")
-    return np.array(data, dtype=float)
+    try:
+        return np.array(data, dtype=float)
+    except OverflowError:  # an int such as 10**400
+        raise ValueError(f"{what} entries must fit in a float") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +161,10 @@ class Geometry:
         p = self.p
         if not isinstance(p, numbers.Real) or isinstance(p, bool) or not 0 < p < math.inf:
             raise ValueError(f"exponent p must be positive and finite, not {p!r}")
-        object.__setattr__(self, "p", float(p))
+        try:
+            object.__setattr__(self, "p", float(p))
+        except OverflowError:  # an int such as 10**400 is below math.inf
+            raise ValueError("exponent p must fit in a float") from None
 
 
 @dataclass(frozen=True)

@@ -564,16 +564,15 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     one ordered pass over the pairs, pushing on each until it shares fewer
     than two targets, makes exactly the pushes of a rescan after every push.
     Within a pair, a push on (j, j2) drops j, j2 or both from the common
-    targets and leaves the rest, so the pair's common targets are taken once
-    and walked in ascending order with a two-slot window: the surviving slot
-    and the next entry are the next (j, j2).
+    targets and leaves the rest, so the pair's next crossing is again its
+    two lowest common targets: each push takes them from the bitsets.
 
     Each source keeps its support as an int bitset over targets and its flows
     in a list row (a list indexes faster than a dict on the measured inputs);
     the costs become list rows in one ``tolist``.  A pair's common targets
-    are then one ``&``, "fewer than two" is one ``x & (x - 1)``, and the walk
-    takes the lowest set bit each step.  The output support is a subset of
-    the input one, so it is read off the input flows in their order.
+    are then one ``&``, and dropping their lowest set bit, ``x & (x - 1)``,
+    leaves the rest: empty means fewer than two.  The output support is a
+    subset of the input one, so it is read off the input flows in their order.
     Raises ValueError when the shapes differ.
     """
     check_shape(inst, plan)
@@ -587,24 +586,16 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
     crow = inst.costs.c.tolist()
 
     for i, ri in enumerate(rows):
+        ci = crow[i]
         for i2 in range(i + 1, m):
-            mi = masks[i]
-            if not mi & (mi - 1):
-                break
-            common = mi & masks[i2]
-            if not common & (common - 1):
-                continue
-            ci, c2, r2 = crow[i], crow[i2], rows[i2]
-            low = common & -common
-            j = low.bit_length() - 1  # the window's first slot; -1 when empty
-            common ^= low
-            while common:
-                low = common & -common
-                common ^= low
-                j2 = low.bit_length() - 1
-                if j < 0:
-                    j = j2
-                    continue
+            c2, r2 = crow[i2], rows[i2]
+            while True:
+                common = masks[i] & masks[i2]
+                rest = common & (common - 1)  # common without its lowest target
+                if not rest:
+                    break
+                j = (common ^ rest).bit_length() - 1
+                j2 = (rest & -rest).bit_length() - 1
                 # pushing eps onto the (i,j),(i2,j2) diagonal changes cost by eps*gain
                 gain = (ci[j] + c2[j2]) - (ci[j2] + c2[j])
                 if -tie <= gain <= tie:
@@ -626,16 +617,10 @@ def uncross(inst: Instance, plan: TransportPlan) -> TransportPlan:
                 r2[a] += eps
                 ri[a] = fa - eps
                 r2[b] = fb - eps
-                # at least one lowered arc hits zero; a target whose lowered
-                # arc stays positive is still common, and fills the first slot
-                j = -1
-                if fa > eps:
-                    j = a
-                else:
+                # at least one lowered arc hits zero and leaves its bitset
+                if fa == eps:
                     masks[i] ^= 1 << a
-                if fb > eps:
-                    j = b
-                else:
+                if fb == eps:
                     masks[i2] ^= 1 << b
 
     support = tuple((i, j, f) for i, j, _ in plan.flows if (f := rows[i][j]))

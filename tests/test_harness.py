@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -508,6 +509,40 @@ def test_cli_experiment_rejects_empty_or_negative_seeds(tmp_path, capsys):
     with pytest.raises(ValueError, match="seeds must be non-negative, got -1"):
         run_experiment(ExperimentSpec("fig1", out_dir=str(out_dir), ell=1, seeds=(0, -1)))
     assert not out_dir.exists()
+
+
+def test_experiment_spec_rejects_seeds_and_ell_that_are_not_ints(tmp_path):
+    # a bool would run as 0 or 1 and be written as true; a float or a numpy
+    # int would fail only after out_dir exists, at range() or json.dumps
+    out_dir = tmp_path / "exp"
+    for kw, says in (({"seeds": (True,)}, "seeds must be ints, got True"),
+                     ({"seeds": (0, 0.5)}, "seeds must be ints, got 0.5"),
+                     ({"seeds": (np.int64(0),)}, f"seeds must be ints, got {np.int64(0)!r}"),
+                     ({"ell": True}, "ell must be an int, got True"),
+                     ({"ell": 2.5}, "ell must be an int, got 2.5")):
+        with pytest.raises(ValueError, match=re.escape(says)):
+            run_experiment(ExperimentSpec("fig1", out_dir=str(out_dir), **kw))
+        assert not out_dir.exists()
+
+
+def test_json_integers_too_large_for_a_float_are_validation_errors(tmp_path, capsys):
+    # 10**400 is a JSON number, but float() of it overflows
+    huge = 10**400
+    geometry = {"sources": [[0.0, 0.0]], "targets": [[0.0, 0.0]], "p": 2.0}
+    for name, data, says in (
+            ("cost", {"m": 1, "n": 1, "costs": [[huge]]}, "cost matrix entries must fit in a float"),
+            ("point", {"m": 1, "n": 1, "costs": [[0.0]],
+                       "geometry": {**geometry, "targets": [[0.0, huge]]}},
+             "point entries must fit in a float"),
+            ("p", {"m": 1, "n": 1, "costs": [[0.0]], "geometry": {**geometry, "p": huge}},
+             "exponent p must fit in a float")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=says):
+            load_instance(path)
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {says}\n"
 
 
 def test_cli_oracle_cap_counts_tables(tmp_path, capsys):
