@@ -525,26 +525,6 @@ def test_experiment_spec_rejects_seeds_and_ell_that_are_not_ints(tmp_path):
         assert not out_dir.exists()
 
 
-def test_json_integers_too_large_for_a_float_are_validation_errors(tmp_path, capsys):
-    # 10**400 is a JSON number, but float() of it overflows
-    huge = 10**400
-    geometry = {"sources": [[0.0, 0.0]], "targets": [[0.0, 0.0]], "p": 2.0}
-    for name, data, says in (
-            ("cost", {"m": 1, "n": 1, "costs": [[huge]]}, "cost matrix entries must fit in a float"),
-            ("point", {"m": 1, "n": 1, "costs": [[0.0]],
-                       "geometry": {**geometry, "targets": [[0.0, huge]]}},
-             "point entries must fit in a float"),
-            ("p", {"m": 1, "n": 1, "costs": [[0.0]], "geometry": {**geometry, "p": huge}},
-             "exponent p must fit in a float")):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match=says):
-            load_instance(path)
-        capsys.readouterr()
-        assert main(["solve", "--instance", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {says}\n"
-
-
 def test_cli_oracle_cap_counts_tables(tmp_path, capsys):
     # a 3x4 instance has exactly 415 integral plans
     inst_path = tmp_path / "x.json"
@@ -599,7 +579,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert not os.path.exists(out)
     # a malformed instance JSON: not an object, a geometry that is not one,
     # p that is not a number, costs or points that are not numbers (JSON
-    # strings and booleans included), or clouds of different dimensions
+    # strings and booleans included), a cost, point or p too large for a
+    # float (10**400 is a JSON number), or clouds of different dimensions
     def with_geometry(p=2.0, sources=((0.0, 0.0),)):
         return {"m": 1, "n": 1, "costs": [[0.0]],
                 "geometry": {"sources": sources, "targets": [[0.0, 0.0]], "p": p}}
@@ -618,9 +599,16 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("m_true", {"m": True, "n": 1, "costs": [[0.5]]}, "declared m, n"),
             ("point_strings", with_geometry(sources=[["0", "0"]]), "must be numbers"),
             ("point_bool", with_geometry(sources=[[True, 0]]), "must be numbers"),
+            ("cost_huge", {"m": 1, "n": 1, "costs": [[10**400]]},
+             "cost matrix entries must fit in a float"),
+            ("point_huge", with_geometry(sources=[[0.0, 10**400]]),
+             "point entries must fit in a float"),
+            ("p_huge", with_geometry(p=10**400), "exponent p must fit in a float"),
             ("dim_3_2", with_geometry(sources=[[0.0, 0.0, 0.0]]), "dimension mismatch")):
         bad_path = tmp_path / f"{name}.json"
         bad_path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(says)):
+            load_instance(bad_path)
         capsys.readouterr()
         assert main(["solve", "--instance", str(bad_path)]) == 1
         err = capsys.readouterr().err
