@@ -29,18 +29,14 @@ def _mass_matrix(plan):
     return dense
 
 
-def _random_square_plan(n, k, seed):
-    """Mix k random permutations at scale k*n."""
-    rng = np.random.default_rng(seed)
+def _weighted_permutation_sum(rng, n, k):
+    """Sum of k random permutations with integer weights 1..4, as a plan."""
+    weights = rng.integers(1, 5, k).tolist()
     flows = {}
-    for _ in range(k):
-        p = rng.permutation(n)
-        for i in range(n):
-            key = (i, int(p[i]))
-            flows[key] = flows.get(key, 0) + 1
-    plan = TransportPlan(n, n, k * n, tuple((i, j, f) for (i, j), f in flows.items()))
-    plan.validate()
-    return plan
+    for w in weights:
+        for i, j in enumerate(rng.permutation(n).tolist()):
+            flows[(i, j)] = flows.get((i, j), 0) + w
+    return TransportPlan(n, n, n * sum(weights), tuple((i, j, f) for (i, j), f in flows.items()))
 
 
 def test_birkhoff_permutation_is_single_term():
@@ -64,7 +60,7 @@ def test_birkhoff_requires_square():
 
 def test_birkhoff_recombination_exact():
     for seed in range(6):
-        plan = _random_square_plan(7, 4, seed)
+        plan = _weighted_permutation_sum(np.random.default_rng(seed), 7, 4)
         dec = birkhoff_decompose(plan)
         assert sum(w for _, w in dec.terms) == 1
         recombined = dec.recombine()
@@ -76,7 +72,7 @@ def test_birkhoff_recombination_exact():
 
 def test_birkhoff_term_count_bound():
     for seed in range(6):
-        plan = _random_square_plan(8, 5, seed)
+        plan = _weighted_permutation_sum(np.random.default_rng(seed), 8, 5)
         dec = birkhoff_decompose(plan)
         assert len(dec.terms) <= plan.support_size - plan.n + 1
 
@@ -95,16 +91,6 @@ def test_birkhoff_output_digest():
             dec = birkhoff_decompose(solve(gen_random_costs(n, n, s)))
             h.update((json.dumps(decomposition_to_dict(dec), sort_keys=True) + "\n").encode())
     assert h.hexdigest() == BIRKHOFF_DIGEST
-
-
-def _weighted_permutation_sum(rng, n, k):
-    """Sum of k random permutations with integer weights 1..4, as a plan."""
-    weights = rng.integers(1, 5, k).tolist()
-    flows = {}
-    for w in weights:
-        for i, j in enumerate(rng.permutation(n).tolist()):
-            flows[(i, j)] = flows.get((i, j), 0) + w
-    return TransportPlan(n, n, n * sum(weights), tuple((i, j, f) for (i, j), f in flows.items()))
 
 
 # sha256 over the decomposition JSON (sorted keys, one line each) of 240
