@@ -24,6 +24,9 @@ m - 1.  With full_i * S/n <= S/m the upper end of (1) follows; s <= n + m - 1
 <= n + m*sqrt(n) gives (2) and (3); and since C(1 + a, 2) + C(1 + b, 2) <=
 C(1 + a + b, 2), the sum in (4) is largest when one target takes all s - n
 extra sources: at most C(m, 2).
+
+W2 costs attain the upper end of (1): in the clustered wheel of
+``tests/test_analysis.py`` source 0 takes floor(n/m) + m - 1 targets.
 """
 from __future__ import annotations
 

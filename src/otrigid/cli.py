@@ -12,19 +12,18 @@ import sys
 from . import instance as inst_mod
 from .analysis import pair_counts
 from .constructions import birkhoff_decompose
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import ExperimentSpec, run_experiment, solve_and_save
 from .io import (
     load_instance,
     load_plan_csv,
     save_decomposition_json,
     save_instance,
     save_plan_csv,
-    save_stats_json,
     stats_dict,
     stats_json_text,
 )
 from .oracle import brute_force_solve, DEFAULT_CAP
-from .solver import objective, solve, uncross
+from .solver import objective, uncross
 from .svg import emit_svg
 
 
@@ -107,11 +106,7 @@ def _run(args) -> int:
             raise ValueError(f"--{opt} must be at least {least}, got {value}")
     if cmd == "solve":
         inst = load_instance(args.instance)
-        plan = solve(inst)
-        if args.out_plan:
-            save_plan_csv(plan, args.out_plan)
-        if args.out_stats:
-            save_stats_json(stats_dict(plan), args.out_stats)
+        plan, _ = solve_and_save(inst, args.out_plan, args.out_stats)
         print(json.dumps({"objective": objective(inst, plan),
                           "support_size": plan.support_size,
                           "scale": plan.scale}))

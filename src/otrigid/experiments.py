@@ -68,6 +68,20 @@ def build_instance(spec: ExperimentSpec, seed: int) -> Instance:
     return inst_mod.gen_point_instance("uniform-square", spec.m, spec.n, spec.p, seed)
 
 
+def solve_and_save(inst: Instance, plan_path=None, stats_path=None, svg_path=None):
+    """Solve and build the stats once; write each file given a path (the SVG
+    only with geometry) and return (plan, stats)."""
+    plan = solve(inst)
+    stats = stats_dict(plan)
+    if plan_path:
+        save_plan_csv(plan, plan_path)
+    if stats_path:
+        save_stats_json(stats, stats_path)
+    if svg_path and inst.geometry is not None:
+        emit_svg(inst, plan, svg_path)
+    return plan, stats
+
+
 def run_seed(spec: ExperimentSpec, seed: int, out_dir: str) -> dict:
     """Generate, check genericity (perturb once on violation), solve, emit."""
     inst = build_instance(spec, seed)
@@ -77,19 +91,9 @@ def run_seed(spec: ExperimentSpec, seed: int, out_dir: str) -> dict:
         inst = perturb(inst, inst_mod.DEFAULT_PERTURB_ETA, seed)
         perturbed = True
         report = genericity_check(inst)
-    plan = solve(inst)
-    stats = stats_dict(plan)
-    record = {
-        "seed": seed,
-        "perturbed": perturbed,
-        "generic": report.generic,
-        "stats": stats,
-    }
-    save_plan_csv(plan, os.path.join(out_dir, f"seed{seed:04d}_plan.csv"))
-    save_stats_json(stats, os.path.join(out_dir, f"seed{seed:04d}_stats.json"))
-    if inst.geometry is not None:
-        emit_svg(inst, plan, os.path.join(out_dir, f"seed{seed:04d}.svg"))
-    return record
+    stem = os.path.join(out_dir, f"seed{seed:04d}")
+    _, stats = solve_and_save(inst, stem + "_plan.csv", stem + "_stats.json", stem + ".svg")
+    return {"seed": seed, "perturbed": perturbed, "generic": report.generic, "stats": stats}
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:

@@ -102,9 +102,6 @@ class TransportPlan:
     def support_size(self):
         return len(self.flows)
 
-    def flow_dict(self):
-        return {(i, j): f for i, j, f in self.flows}
-
 
 @dataclass(frozen=True)
 class DualCertificate:

@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 from otrigid import (
     CostMatrix,
     Instance,
+    PointCloud,
     TransportPlan,
+    cost_from_points,
     enumerate_plans,
     gen_random_costs,
+    genericity_check,
     pair_counts,
     rigidity_report,
     solve,
     stats_dict,
+    verify_optimality,
 )
 
 C23 = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
@@ -161,3 +165,29 @@ def test_bound_values():
     rep = rigidity_report(plan)
     assert rep.lower == 3  # ceil(10/4)
     assert rep.excess == rep.t_max - 3
+
+
+def test_bound_1_upper_end_is_attained_by_the_w2_clustered_wheel():
+    # Source 0 sits at the origin and m - 1 sources on a circle of radius
+    # 0.4 around it.  Each source has a tight cluster of q targets, and one
+    # more target lies near the midpoint between the origin and each outer
+    # source, so n = qm + m - 1.  Each outer source takes m - 1 of the m
+    # units of its midpoint target and source 0 the last one: t_0 =
+    # q + m - 1 = floor(n/m) + m - 1, and c = t_max - ceil(n/m) = m - 2.
+    rng = np.random.default_rng(0)
+    for m, n in ((4, 11), (8, 47), (13, 51), (20, 219)):
+        q = (n - (m - 1)) // m
+        angles = 2 * np.pi * np.arange(m - 1) / (m - 1)
+        outer = 0.4 * np.column_stack([np.cos(angles), np.sin(angles)])
+        sources = np.vstack([np.zeros((1, 2)), outer])
+        clusters = np.repeat(sources, q, axis=0) + rng.normal(0.0, 0.01, (q * m, 2))
+        midpoints = outer / 2 + rng.normal(0.0, 0.001, (m - 1, 2))
+        inst = cost_from_points(PointCloud(sources),
+                                PointCloud(np.vstack([clusters, midpoints])), 2.0)
+        assert inst.n == n
+        plan = solve(inst)
+        rep = rigidity_report(plan)
+        assert rep.t[0] == rep.t_max == n // m + m - 1
+        assert rep.excess == m - 2
+        assert genericity_check(inst).generic
+        assert verify_optimality(inst, plan) is not None

@@ -365,6 +365,36 @@ def test_run_seed_computes_stats_once(tmp_path, monkeypatch):
     assert stats == record["stats"]
 
 
+def test_cli_writes_the_files_run_seed_writes(tmp_path):
+    # an experiment's seed files are the files the single commands write:
+    # fig1 ell=2 seed 1 is the 4x6 W1 instance of gen --seed 1, and sec22
+    # seed 0 the 7x2000 random costs of gen --random-costs --seed 0, which
+    # have no geometry and so no SVG
+    from otrigid.experiments import run_seed
+
+    for spec, seed, gen_args in (
+            (ExperimentSpec("fig1", out_dir="", ell=2), 1,
+             ["--m", "4", "--n", "6", "--p", "1", "--seed", "1"]),
+            (ExperimentSpec("sec22", out_dir=""), 0,
+             ["--random-costs", "--m", "7", "--n", "2000", "--seed", "0"])):
+        out = tmp_path / spec.preset
+        out.mkdir()
+        run_seed(spec, seed, str(out))
+        inst, plan, stats, svg = (str(out / f) for f in
+                                  ("inst.json", "plan.csv", "stats.json", "plan.svg"))
+        assert main(["gen", *gen_args, "--out", inst]) == 0
+        assert main(["solve", "--instance", inst, "--out-plan", plan, "--out-stats", stats]) == 0
+        pairs = [(plan, "_plan.csv"), (stats, "_stats.json")]
+        if spec.random_costs:
+            assert not (out / f"seed{seed:04d}.svg").exists()
+        else:
+            assert main(["plot", "--instance", inst, "--plan", plan, "--out", svg]) == 0
+            pairs.append((svg, ".svg"))
+        for cli_file, suffix in pairs:
+            assert (Path(cli_file).read_bytes()
+                    == (out / f"seed{seed:04d}{suffix}").read_bytes()), suffix
+
+
 def test_experiment_spec_rejects_other_presets():
     for preset in ("custom", "fig3"):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -580,7 +610,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a malformed instance JSON: not an object, a geometry that is not one,
     # p that is not a number, costs or points that are not numbers (JSON
     # strings and booleans included), a cost, point or p too large for a
-    # float (10**400 is a JSON number), or clouds of different dimensions
+    # float (10**400 is a JSON number), clouds of different dimensions, costs
+    # that are not a non-empty matrix, or more points than the costs have rows
     def with_geometry(p=2.0, sources=((0.0, 0.0),)):
         return {"m": 1, "n": 1, "costs": [[0.0]],
                 "geometry": {"sources": sources, "targets": [[0.0, 0.0]], "p": p}}
@@ -604,7 +635,13 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("point_huge", with_geometry(sources=[[0.0, 10**400]]),
              "point entries must fit in a float"),
             ("p_huge", with_geometry(p=10**400), "exponent p must fit in a float"),
-            ("dim_3_2", with_geometry(sources=[[0.0, 0.0, 0.0]]), "dimension mismatch")):
+            ("dim_3_2", with_geometry(sources=[[0.0, 0.0, 0.0]]), "dimension mismatch"),
+            ("costs_flat", {"m": 1, "n": 2, "costs": [1, 2]}, "2-dimensional and non-empty"),
+            ("costs_empty_row", {"m": 1, "n": 2, "costs": [[]]}, "2-dimensional and non-empty"),
+            ("two_sources_1x2", {"m": 1, "n": 2, "costs": [[1.0, 2.0]],
+                                 "geometry": {"sources": [[0.0, 0.0], [1.0, 1.0]],
+                                              "targets": [[0.0, 1.0], [1.0, 0.0]], "p": 2.0}},
+             "geometry size does not match")):
         bad_path = tmp_path / f"{name}.json"
         bad_path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=re.escape(says)):

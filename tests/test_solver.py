@@ -428,8 +428,12 @@ def test_find_crossings_full_2x2():
     assert find_crossings(plan) == [(0, 1, 0, 1)]
 
 
+def _flow_dict(plan):
+    return {(i, j): f for i, j, f in plan.flows}
+
+
 def _brute_force_crossings(plan):
-    pos = plan.flow_dict()
+    pos = _flow_dict(plan)
     return [
         (i, i2, j, j2)
         for i in range(plan.m) for i2 in range(i + 1, plan.m)
@@ -453,7 +457,7 @@ def test_find_crossings_matches_brute_force(m, n, seed, density):
     got = find_crossings(plan)
     assert got == _brute_force_crossings(plan)
     # pair_counts reads the same per-source target bitsets, and counts the same crossings
-    pos = plan.flow_dict()
+    pos = _flow_dict(plan)
     assert target_masks(plan) == [sum(1 << j for j in range(n) if (i, j) in pos)
                                   for i in range(m)]
     common = {(i, i2): sum((i, j) in pos and (i2, j) in pos for j in range(n))
@@ -595,7 +599,7 @@ def _uncross_by_definition(inst, plan):
     crossing until none is left."""
     c = inst.costs.c
     tie_tol = inst.costs.tie
-    flows = plan.flow_dict()
+    flows = _flow_dict(plan)
     while True:
         cur = TransportPlan(plan.m, plan.n, plan.scale,
                             tuple((i, j, f) for (i, j), f in flows.items()))
