@@ -4,15 +4,15 @@ Flows are integers at scale S (a multiple of lcm(m, n)); each source emits
 S/m units and each target absorbs S/n units.  The solver maintains a
 spanning-tree basis on the bipartite graph K_{m,n}, rooted at source 0 and
 kept as node-indexed lists: the tree arc from node x to parent[x] keeps its
-flow in pflow[x] and its position in the basis in pslot[x], beside the
-children lists.  A pivot walks only its cycle and the subtree it re-hangs,
-and touches no dict.  Potentials are one list w, with w_i = u_i for a
-source and w_{m+j} = -v_j for a target.
+flow in pflow[x], its cost in pcost[x] and its position in the basis in
+pslot[x], beside the children lists.  A pivot walks only its cycle and the
+subtree it re-hangs, and touches no dict.  Potentials are one list w, with
+w_i = u_i for a source and w_{m+j} = -v_j for a target.
 
-``verify_optimality`` works on the same objects: ``_rooted_forest`` roots
-the support forest of any plan (each tree at its lowest node, so a spanning
-tree at source 0) and ``_tree_potentials`` propagates w down every tree,
-for the certificate as for the basis.
+``_tree_potentials`` is the one propagation of w: for the start, for each
+pivot's re-hung subtree and for ``verify_optimality``, whose
+``_rooted_forest`` roots the support forest of any plan (each tree at its
+lowest node, so a spanning tree at source 0) as ``solve`` roots its basis.
 
 It pivots on an exactly perturbed integer problem (see
 ``_perturbed_marginals``) whose every basis is nondegenerate: each pivot
@@ -28,8 +28,9 @@ candidate list: a full numpy pricing of all m*n arcs keeps the most negative
 ones, each later pivot reprices only those and enters the most negative, and
 a new full pricing runs only when none is left below the entering cut
 -costs.tie, under which a reduced cost is not a tie with zero.  The
-solve stops when a full pricing from freshly propagated potentials finds no
-arc below the cut, so the returned plan is an optimal polytope vertex.
+solve stops when a full pricing finds no arc below the cut.  Each w it
+prices is bit for bit what one propagation from the root gives, so the
+returned plan is an optimal polytope vertex.
 A ``TransportPlan`` is exactly feasible once built, so a function taking one
 with an instance checks only that the shapes agree (``check_shape``).
 """
@@ -230,29 +231,29 @@ def _rooted_forest(arcs, m, n):
     return parent, children, pflow, pslot, tree
 
 
-def _tree_potentials(parent, children, pslot, arc_cost, m):
-    """Propagate u_i + v_j = c_ij down every tree from 0 at its root.
+def _tree_potentials(w, stack, children, pcost, m):
+    """Fill w below the nodes on ``stack``, whose w is set, so that u_i + v_j
+    = c_ij on each tree arc; pcost[x] is the cost of x's arc to its parent.
 
-    ``arc_cost`` is a numpy array of the tree arcs' costs by slot.  Returns
-    one list w with w_i = u_i for a source and w_{m+j} = -v_j for a target:
-    reduced costs are c_ij - w_i + w_{m+j}, and shifting u by -d and v by +d
-    on a subtree is w -= d on its nodes.
+    w_i = u_i for a source and w_{m+j} = -v_j for a target, so reduced costs
+    are c_ij - w_i + w_{m+j}.  Each w is read off its parent's w and arc cost,
+    so a re-hung subtree gets the bits a propagation from the root gives.
+    Only nodes with children go on the stack, which ends empty: most targets
+    are leaves.
     """
-    cost = arc_cost.tolist()
-    w = [0.0] * len(parent)
-    stack = [x for x, up in enumerate(parent) if up < 0]
     while stack:
         x = stack.pop()
-        kids = children[x]
         wx = w[x]
         if x < m:
-            for t in kids:
-                w[t] = wx - cost[pslot[t]]
+            for t in children[x]:
+                w[t] = wx - pcost[t]
+                if children[t]:
+                    stack.append(t)
         else:
-            for i in kids:
-                w[i] = cost[pslot[i]] + wx
-        stack.extend(kids)
-    return w
+            for i in children[x]:
+                w[i] = pcost[i] + wx
+                if children[i]:
+                    stack.append(i)
 
 
 def _price(c_np, w, basis, cut, size, red):
@@ -278,9 +279,9 @@ def _pick(cand, w, cut):
     """Reprice the candidates and enter the most negative one.
 
     Keeps in ``cand`` only the others still below ``cut`` and returns the
-    entering (c_ij, i, m+j) and its reduced cost, or None when no candidate
-    is below it.  Ties go to the earliest candidate, so after a full pricing
-    this is Dantzig's rule with the lowest arc index.
+    entering (c_ij, i, m+j), or None when no candidate is below it.  Ties
+    go to the earliest candidate, so after a full pricing this is Dantzig's
+    rule with the lowest arc index.
     """
     best = cut
     keep = []
@@ -294,7 +295,7 @@ def _pick(cand, w, cut):
         return None
     e = keep.pop(at)
     cand[:] = keep
-    return e, best
+    return e
 
 
 def solve(inst: Instance) -> TransportPlan:
@@ -308,7 +309,9 @@ def solve(inst: Instance) -> TransportPlan:
     basis = np.fromiter(flows, dtype=np.intp, count=len(flows))
     parent, children, pflow, pslot, _ = _rooted_forest(
         [(k // n, k % n, f) for k, f in flows.items()], m, n)
-    w = _tree_potentials(parent, children, pslot, c_np.take(basis), m)
+    pcost = c_np.take(basis)[pslot].tolist()  # the root's entry is unused
+    w = [0.0] * (m + n)
+    _tree_potentials(w, [0], children, pcost, m)
 
     mark = [0] * (m + n)  # apex search: last pivot tag that climbed a node
     enter_cut = -inst.costs.tie
@@ -319,15 +322,10 @@ def solve(inst: Instance) -> TransportPlan:
         entering = _pick(cand, w, enter_cut)
         if entering is None:
             cand = _price(c_np, w, basis, enter_cut, list_size, red)
-            if not cand and pivot:
-                # incremental shifts accumulate rounding; confirm optimality
-                # against freshly propagated potentials before stopping
-                w = _tree_potentials(parent, children, pslot, c_np.take(basis), m)
-                cand = _price(c_np, w, basis, enter_cut, list_size, red)
             entering = _pick(cand, w, enter_cut)
             if entering is None:
                 break
-        (_, ei, et), best = entering
+        ce, ei, et = entering
 
         # the apex of the cycle is the first node one endpoint reaches that
         # the other has already climbed through; climbing both in turn stops
@@ -376,16 +374,13 @@ def solve(inst: Instance) -> TransportPlan:
         # dropping the leaving arc detaches the subtree under ``out``; it
         # holds the entering endpoint q on out's side of the cycle.  Re-hang
         # it from the other endpoint r by reversing the parent pointers on
-        # the path q .. out, each node taking over the flow and basis slot of
-        # the arc to its old child on the path; q takes the entering arc,
-        # with theta and the slot the leaving arc frees.  Then shift the
-        # subtree's potentials so that the entering arc becomes tight (the
-        # root side keeps u_0 = 0)
+        # the path q .. out, each node taking over the flow, cost and basis
+        # slot of the arc to its old child on the path; q takes the entering
+        # arc, with theta, its cost and the slot the leaving arc frees.  Then
+        # recompute the subtree's potentials from r down its arcs, so that w
+        # stays what a propagation from the root gives
         q, r = (ei, et) if out_on_a else (et, ei)
-        # w -= delta on the subtree changes the entering reduced cost
-        # c - w_ei + w_et by -delta when q = et and by +delta when q = ei
-        delta = -best if q < m else best
-        f, t = theta, pslot[out]
+        f, t, c = theta, pslot[out], ce
         basis[t] = ei * n + et - m
         children[parent[out]].remove(out)
         prev, x = r, q
@@ -394,15 +389,14 @@ def solve(inst: Instance) -> TransportPlan:
             parent[x] = prev
             f, pflow[x] = pflow[x], f
             t, pslot[x] = pslot[x], t
+            c, pcost[x] = pcost[x], c
             children[prev].append(x)
             if x == out:
                 break
             children[up].remove(x)
             prev, x = x, up
-        subtree = [q]
-        for x in subtree:
-            w[x] -= delta
-            subtree.extend(children[x])
+        w[q] = ce + w[r] if q < m else w[r] - ce
+        _tree_potentials(w, [q], children, pcost, m)
     else:
         raise RuntimeError("network simplex exceeded the pivot safety limit")
 
@@ -461,7 +455,10 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
     c = inst.costs.c
     parent, children, _, pslot, tree = _rooted_forest(plan.flows, m, n)
     arcs = np.array([i * n + j for i, j, _ in plan.flows])  # support, by slot
-    w = np.array(_tree_potentials(parent, children, pslot, c.take(arcs), m))
+    w = [0.0] * (m + n)
+    _tree_potentials(w, [x for x, up in enumerate(parent) if up < 0], children,
+                     c.take(arcs)[pslot].tolist(), m)
+    w = np.array(w)
     comp = np.array(tree)
     tie = inst.costs.tie
     red = (c - w[:m, None]) + w[None, m:]

@@ -27,6 +27,7 @@ from otrigid import (
     uncross,
     verify_optimality,
 )
+from otrigid import solver as solver_mod
 from otrigid.experiments import build_instance
 from otrigid.instance import TIE_TOL
 from otrigid.io import plan_csv_lines
@@ -248,6 +249,113 @@ def test_least_cost_basis_matches_full_order_walk(c):
     _, supply, demand = _perturbed_marginals(m, n, math.lcm(m, n))
     flows = _least_cost_basis(c, supply, demand)
     assert list(flows.items()) == list(_full_order_start(c, supply, demand).items())
+
+
+def _sec22(seed):
+    return build_instance(ExperimentSpec("sec22", ""), seed)
+
+
+def _fig1_20(seed):
+    return build_instance(ExperimentSpec("fig1", "", ell=20), seed)
+
+
+def _count_pivots(monkeypatch):
+    """Count _pick's entering arcs and _price's calls made by solve."""
+    counts = {"pivots": 0, "pricings": 0}
+    pick, price = solver_mod._pick, solver_mod._price
+
+    def counting_pick(*args):
+        entering = pick(*args)
+        counts["pivots"] += entering is not None
+        return entering
+
+    def counting_price(*args):
+        counts["pricings"] += 1
+        return price(*args)
+
+    monkeypatch.setattr(solver_mod, "_pick", counting_pick)
+    monkeypatch.setattr(solver_mod, "_price", counting_price)
+    return counts
+
+
+def _propagate_from_node_0(children, c, m):
+    # u_i + v_j = c_ij down the tree from w = 0 at node 0, costs read off c
+    w = [0.0] * len(children)
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in children[x]:
+            w[y] = w[x] - c[x][y - m] if x < m else c[y][x - m] + w[x]
+            stack.append(y)
+    return w
+
+
+def _integer_costs(shape, seed):
+    return np.random.default_rng(seed).integers(0, 4, shape).astype(float)
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(_sec22(0), id="sec22-s0"),
+    pytest.param(_fig1_20(0), id="fig1-ell20-s0"),
+    pytest.param(Instance(CostMatrix(C23 * 2.0**600)), id="C23-2**600"),
+    pytest.param(Instance(CostMatrix(C23 * 2.0**-600)), id="C23-2**-600"),
+] + [pytest.param(Instance(CostMatrix(_integer_costs(shape, seed))), id=f"int-{shape}-s{seed}")
+     for shape, seed in (((3, 4), 1), ((4, 3), 3), ((4, 6), 3))])
+def test_potentials_are_exact_at_every_pivot(inst, monkeypatch):
+    # after every propagation solve makes (the start, then one per pivot), w
+    # holds the bits a fresh propagation from node 0 over the same tree gives
+    counts = _count_pivots(monkeypatch)
+    c = inst.costs.c.tolist()
+    fill = solver_mod._tree_potentials
+    checks = 0
+
+    def checked_fill(w, stack, children, pcost, m):
+        nonlocal checks
+        fill(w, stack, children, pcost, m)
+        fresh = _propagate_from_node_0(children, c, m)
+        assert [x.hex() for x in w] == [x.hex() for x in fresh]
+        checks += 1
+
+    monkeypatch.setattr(solver_mod, "_tree_potentials", checked_fill)
+    solve(inst)
+    assert checks == counts["pivots"] + 1
+
+
+# (pivots, full pricings) of solve, counted by wrapping _pick and _price
+PIVOT_PATH = {
+    ("sec22", 0): (55, 19), ("sec22", 1): (161, 44), ("sec22", 2): (92, 28),
+    ("fig1 ell=20", 0): (116, 16), ("fig1 ell=20", 1): (112, 14),
+}
+
+
+@pytest.mark.parametrize("preset,seed", list(PIVOT_PATH))
+def test_pivot_path_pinned(preset, seed, monkeypatch):
+    inst = _sec22(seed) if preset == "sec22" else _fig1_20(seed)
+    counts = _count_pivots(monkeypatch)
+    solve(inst)
+    assert (counts["pivots"], counts["pricings"]) == PIVOT_PATH[preset, seed]
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(_sec22(seed), id=f"sec22-s{seed}") for seed in range(3)
+] + [pytest.param(_fig1_20(seed), id=f"fig1-ell20-s{seed}") for seed in range(2)])
+def test_solve_maps_under_invariances(inst):
+    # transposing the costs, permuting the sources and the targets, and
+    # adding a_i + b_j each map the optimal vertex exactly
+    c = inst.costs.c
+    m, n = c.shape
+    flows = set(solve(Instance(CostMatrix(c))).flows)
+    rng = np.random.default_rng(0)
+
+    transposed = solve(Instance(CostMatrix(c.T.copy())))
+    assert {(i, j, f) for j, i, f in transposed.flows} == flows
+
+    rows, cols = rng.permutation(m).tolist(), rng.permutation(n).tolist()
+    permuted = solve(Instance(CostMatrix(c[rows][:, cols])))
+    assert {(rows[a], cols[b], f) for a, b, f in permuted.flows} == flows
+
+    shifted = c + rng.random(m)[:, None] + rng.random(n)[None, :]
+    assert set(solve(Instance(CostMatrix(shifted))).flows) == flows
 
 
 def test_objective_zero_costs():
