@@ -3,11 +3,11 @@
 Flows are integers at scale S (a multiple of lcm(m, n)); each source emits
 S/m units and each target absorbs S/n units.  The solver maintains a
 spanning-tree basis on the bipartite graph K_{m,n}, rooted at source 0 and
-kept as node-indexed lists: the tree arc from node x to parent[x] keeps its
-flow in pflow[x], its cost in pcost[x] and its position in the basis in
-pslot[x], beside the children lists.  A pivot walks only its cycle and the
-subtree it re-hangs, and touches no dict.  Potentials are one list w, with
-w_i = u_i for a source and w_{m+j} = -v_j for a target.
+kept as node-indexed lists, the only record of the basis: the tree arc from
+node x to parent[x] keeps its flow in pflow[x] and its cost in pcost[x],
+beside the children lists.  A pivot walks only its cycle and the subtree it
+re-hangs, and touches no dict.  Potentials are one list w, with w_i = u_i for
+a source and w_{m+j} = -v_j for a target.
 
 ``_tree_potentials`` is the one propagation of w: for the start, for each
 pivot's re-hung subtree and for ``verify_optimality``, whose
@@ -139,7 +139,7 @@ def _least_cost_basis(c_np, supply, demand):
     exhausts a row or a column, so the positive arcs form a forest whose
     components each balance supply and demand; on perturbed marginals only
     the whole graph balances, so they are one spanning tree of m+n-1
-    positive arcs.  Returns {arc index i*n+j: flow}.
+    positive arcs.  Returns their (i, j, flow) triples in allocation order.
 
     The default argsort is 4-7 times as fast as the stable one at a few
     thousand arcs, and gives the same order unless two costs are exactly
@@ -157,7 +157,7 @@ def _least_cost_basis(c_np, supply, demand):
     rem_rows = list(supply)
     rem_cols = list(demand)
     dead_rows, dead_cols = [], []  # emptied since the last screen
-    flows = {}
+    flows = []
     rows_left = m
     for lo in range(0, m * n, _START_BLOCK):
         block = order[lo:lo + _START_BLOCK]
@@ -170,10 +170,10 @@ def _least_cost_basis(c_np, supply, demand):
             dead_rows.clear()
             dead_cols.clear()
             block = block[live_rows[block // n] & live_cols[block % n]]
-        for k, i, j in zip(block.tolist(), (block // n).tolist(), (block % n).tolist()):
+        for i, j in zip((block // n).tolist(), (block % n).tolist()):
             if rem_rows[i] and rem_cols[j]:
                 q = min(rem_rows[i], rem_cols[j])
-                flows[k] = q
+                flows.append((i, j, q))
                 rem_rows[i] -= q
                 rem_cols[j] -= q
                 if not rem_rows[i]:
@@ -186,25 +186,28 @@ def _least_cost_basis(c_np, supply, demand):
     return flows
 
 
-def _rooted_forest(arcs, m, n):
+def _rooted_forest(arcs, c):
     """Root every tree of the forest on ``arcs``, (i, j, f) triples, at its
-    lowest node.
+    lowest node; c is the m x n cost matrix.
 
     Nodes are sources 0..m-1 and targets m..m+n-1; in a feasible plan each
     tree's lowest node is a source, and a spanning tree is rooted at node 0.
-    Returns (parent, children, pflow, pslot, tree) as plain lists, with
+    Returns (parent, children, pflow, pcost, tree) as plain lists, with
     parent -1 at each root: the arc from x to parent[x] carries pflow[x] and
-    is arcs[pslot[x]], and tree[x] numbers x's tree in the order of the
-    roots.  Raises SupportCycleError at the first arc that closes a cycle.
+    costs pcost[x], gathered in one index of c, and tree[x] numbers x's tree
+    in the order of the roots.  Raises SupportCycleError at the first arc
+    that closes a cycle.
     """
+    m, n = c.shape
     size = m + n
+    costs = c[[i for i, _, _ in arcs], [j for _, j, _ in arcs]].tolist()
     adj = [[] for _ in range(size)]
-    for t, (i, j, f) in enumerate(arcs):
-        adj[i].append((m + j, f, t))
-        adj[m + j].append((i, f, t))
+    for (i, j, f), cij in zip(arcs, costs):
+        adj[i].append((m + j, f, cij))
+        adj[m + j].append((i, f, cij))
     parent = [-1] * size
     pflow = [0] * size
-    pslot = [-1] * size
+    pcost = [0.0] * size
     tree = [-1] * size
     children = [[] for _ in range(size)]
     k = 0
@@ -217,18 +220,18 @@ def _rooted_forest(arcs, m, n):
             x = stack.pop()
             up = parent[x]
             kids = children[x]
-            for nb, f, t in adj[x]:
+            for nb, f, cij in adj[x]:
                 if nb != up:
                     if tree[nb] >= 0:
                         raise SupportCycleError("support contains a cycle")
                     tree[nb] = k
                     parent[nb] = x
                     pflow[nb] = f
-                    pslot[nb] = t
+                    pcost[nb] = cij
                     kids.append(nb)
             stack.extend(kids)
         k += 1
-    return parent, children, pflow, pslot, tree
+    return parent, children, pflow, pcost, tree
 
 
 def _tree_potentials(w, stack, children, pcost, m):
@@ -256,18 +259,21 @@ def _tree_potentials(w, stack, children, pcost, m):
                     stack.append(i)
 
 
-def _price(c_np, w, basis, cut, size, red):
+def _price(c_np, w, cut, size, red):
     """Full pricing: the ``size`` most negative arcs with reduced cost < cut.
 
     Returns them as (c_ij, i, m+j) triples in arc-index order; ``red`` is an
-    m x n buffer.
+    m x n buffer.  Tree arcs need no mask, and ``solve`` relies on it: w is
+    one propagation from the root, so a tree arc whose child is the target,
+    w_t = fl(w_i - c_ij), prices fl(c_ij - w_i) + w_t = 0 exactly, and one
+    whose child is the source, w_i = fl(c_ij + w_t), is off by about one
+    rounding of |w|, the ``TIE_TOL`` comment's bound, far above -costs.tie.
     """
     m, n = red.shape
     wa = np.array(w)
     np.subtract(c_np, wa[:m, None], out=red)
     np.add(red, wa[None, m:], out=red)
     flat = red.reshape(-1)
-    flat[basis] = 0.0
     arcs = (flat < cut).nonzero()[0]
     if arcs.size > size:
         arcs = np.sort(arcs[np.argpartition(flat[arcs], size - 1)[:size]])
@@ -305,11 +311,8 @@ def solve(inst: Instance) -> TransportPlan:
     c_np = inst.costs.c
 
     K, supply, demand = _perturbed_marginals(m, n, S)
-    flows = _least_cost_basis(c_np, supply, demand)  # tree arcs, by i*n+j
-    basis = np.fromiter(flows, dtype=np.intp, count=len(flows))
-    parent, children, pflow, pslot, _ = _rooted_forest(
-        [(k // n, k % n, f) for k, f in flows.items()], m, n)
-    pcost = c_np.take(basis)[pslot].tolist()  # the root's entry is unused
+    parent, children, pflow, pcost, _ = _rooted_forest(
+        _least_cost_basis(c_np, supply, demand), c_np)
     w = [0.0] * (m + n)
     _tree_potentials(w, [0], children, pcost, m)
 
@@ -321,7 +324,7 @@ def solve(inst: Instance) -> TransportPlan:
     for pivot in range(_MAX_PIVOTS):
         entering = _pick(cand, w, enter_cut)
         if entering is None:
-            cand = _price(c_np, w, basis, enter_cut, list_size, red)
+            cand = _price(c_np, w, enter_cut, list_size, red)
             entering = _pick(cand, w, enter_cut)
             if entering is None:
                 break
@@ -374,21 +377,18 @@ def solve(inst: Instance) -> TransportPlan:
         # dropping the leaving arc detaches the subtree under ``out``; it
         # holds the entering endpoint q on out's side of the cycle.  Re-hang
         # it from the other endpoint r by reversing the parent pointers on
-        # the path q .. out, each node taking over the flow, cost and basis
-        # slot of the arc to its old child on the path; q takes the entering
-        # arc, with theta, its cost and the slot the leaving arc frees.  Then
-        # recompute the subtree's potentials from r down its arcs, so that w
-        # stays what a propagation from the root gives
+        # the path q .. out, each node taking over the flow and cost of the
+        # arc to its old child on the path; q takes the entering arc, with
+        # theta and its cost.  Then recompute the subtree's potentials from r
+        # down its arcs, so that w stays what a propagation from the root gives
         q, r = (ei, et) if out_on_a else (et, ei)
-        f, t, c = theta, pslot[out], ce
-        basis[t] = ei * n + et - m
+        f, c = theta, ce
         children[parent[out]].remove(out)
         prev, x = r, q
         while True:
             up = parent[x]
             parent[x] = prev
             f, pflow[x] = pflow[x], f
-            t, pslot[x] = pslot[x], t
             c, pcost[x] = pcost[x], c
             children[prev].append(x)
             if x == out:
@@ -453,11 +453,9 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
     check_shape(inst, plan)
     m, n = inst.m, inst.n
     c = inst.costs.c
-    parent, children, _, pslot, tree = _rooted_forest(plan.flows, m, n)
-    arcs = np.array([i * n + j for i, j, _ in plan.flows])  # support, by slot
+    parent, children, _, pcost, tree = _rooted_forest(plan.flows, c)
     w = [0.0] * (m + n)
-    _tree_potentials(w, [x for x, up in enumerate(parent) if up < 0], children,
-                     c.take(arcs)[pslot].tolist(), m)
+    _tree_potentials(w, [x for x, up in enumerate(parent) if up < 0], children, pcost, m)
     w = np.array(w)
     comp = np.array(tree)
     tie = inst.costs.tie

@@ -212,25 +212,25 @@ def test_perturbed_start_is_a_positive_spanning_tree(c):
     _, supply, demand = _perturbed_marginals(m, n, math.lcm(m, n))
     flows = _least_cost_basis(c, supply, demand)
     assert len(flows) == m + n - 1
-    assert min(flows.values()) >= 1
+    assert min(f for _, _, f in flows) >= 1
     rows, cols = [0] * m, [0] * n
-    for k, f in flows.items():
-        rows[k // n] += f
-        cols[k % n] += f
+    for i, j, f in flows:
+        rows[i] += f
+        cols[j] += f
     assert rows == supply and cols == demand
-    assert _is_forest(m, n, [divmod(k, n) for k in flows])
+    assert _is_forest(m, n, [(i, j) for i, j, _ in flows])
 
 
 def _full_order_start(c, supply, demand):
     # reference matrix-minimum start: every arc in stable cost order
     m, n = c.shape
     rows, cols = list(supply), list(demand)
-    flows = {}
+    flows = []
     for k in np.argsort(c, axis=None, kind="stable").tolist():
         i, j = divmod(k, n)
         if rows[i] and cols[j]:
             q = min(rows[i], cols[j])
-            flows[k] = q
+            flows.append((i, j, q))
             rows[i] -= q
             cols[j] -= q
     return flows
@@ -248,7 +248,7 @@ def test_least_cost_basis_matches_full_order_walk(c):
     m, n = c.shape
     _, supply, demand = _perturbed_marginals(m, n, math.lcm(m, n))
     flows = _least_cost_basis(c, supply, demand)
-    assert list(flows.items()) == list(_full_order_start(c, supply, demand).items())
+    assert flows == _full_order_start(c, supply, demand)
 
 
 def _sec22(seed):
@@ -314,6 +314,16 @@ def test_potentials_are_exact_at_every_pivot(inst, monkeypatch):
         fill(w, stack, children, pcost, m)
         fresh = _propagate_from_node_0(children, c, m)
         assert [x.hex() for x in w] == [x.hex() for x in fresh]
+        # _price masks no tree arc: one whose target is the child prices to
+        # exactly 0, and none prices below the entering cut
+        for x, kids in enumerate(children):
+            for y in kids:
+                i, t = (x, y) if x < m else (y, x)
+                red = (c[i][t - m] - w[i]) + w[t]
+                if t == y:
+                    assert red == 0.0
+                else:
+                    assert red >= -inst.costs.tie
         checks += 1
 
     monkeypatch.setattr(solver_mod, "_tree_potentials", checked_fill)
@@ -340,8 +350,9 @@ def test_pivot_path_pinned(preset, seed, monkeypatch):
     pytest.param(_sec22(seed), id=f"sec22-s{seed}") for seed in range(3)
 ] + [pytest.param(_fig1_20(seed), id=f"fig1-ell20-s{seed}") for seed in range(2)])
 def test_solve_maps_under_invariances(inst):
-    # transposing the costs, permuting the sources and the targets, and
-    # adding a_i + b_j each map the optimal vertex exactly
+    # transposing the costs, permuting the sources and the targets, adding
+    # a_i + b_j and scaling by 2**-600 or 2**600 each map the optimal vertex
+    # exactly
     c = inst.costs.c
     m, n = c.shape
     flows = set(solve(Instance(CostMatrix(c))).flows)
@@ -356,6 +367,44 @@ def test_solve_maps_under_invariances(inst):
 
     shifted = c + rng.random(m)[:, None] + rng.random(n)[None, :]
     assert set(solve(Instance(CostMatrix(shifted))).flows) == flows
+
+    for k in (-600, 600):
+        assert set(solve(Instance(CostMatrix(c * 2.0**k))).flows) == flows
+
+
+def _assignment_cases(count):
+    # seeded hostile instances whose scale S = lcm(m, n) is at most 400:
+    # integer 0..3 costs, W1 on a 4x4 lattice, uniform costs scaled by
+    # 2**150 or 2**-150, and uniform costs rounded to two digits
+    rng = np.random.default_rng(12)
+    shapes = [(m, n) for m in range(1, 13) for n in range(1, 25) if math.lcm(m, n) <= 400]
+    for case in range(count):
+        m, n = shapes[rng.integers(len(shapes))]
+        kind = case % 4
+        if kind == 0:
+            c = rng.integers(0, 4, (m, n)).astype(float)
+        elif kind == 1:
+            x, y = rng.integers(0, 4, (m, 2)), rng.integers(0, 4, (n, 2))
+            c = cost_from_points(PointCloud(x), PointCloud(y), 1.0).costs.c
+        elif kind == 2:
+            c = rng.random((m, n)) * (2.0**150 if rng.integers(2) else 2.0**-150)
+        else:
+            c = np.round(rng.random((m, n)), 2)
+        yield Instance(CostMatrix(c))
+
+
+def test_solve_matches_an_independent_assignment_optimum():
+    # an S x S assignment, with each row of c repeated S/m times and each
+    # column S/n times, has the optimal scaled cost of the transport problem;
+    # scipy's solver shares no code with solve
+    optimize = pytest.importorskip("scipy.optimize")
+    for inst in _assignment_cases(600):
+        c, m, n, S = inst.costs.c, inst.m, inst.n, inst.scale
+        big = np.repeat(np.repeat(c, S // m, axis=0), S // n, axis=1)
+        rows, cols = optimize.linear_sum_assignment(big)
+        plan = solve(inst)
+        assert abs(scaled_objective(inst, plan) - big[rows, cols].sum()) <= S * inst.costs.tie
+        assert verify_optimality(inst, plan) is not None
 
 
 def test_objective_zero_costs():
