@@ -60,13 +60,17 @@ def load_instance(path) -> Instance:
 
 
 def plan_csv_lines(plan: TransportPlan):
-    """Rows 'i,j,num,den' in (i asc, j asc) order, mass in lowest terms."""
+    """Rows 'i,j,num,den' in (i asc, j asc) order, mass in lowest terms.
+
+    Each distinct flow value's "num,den" is formatted once: most flows of a
+    plan carry one of a few values.
+    """
     S = plan.scale
-    lines = ["i,j,num,den"]
-    for i, j, f in plan.flows:
+    mass = {}
+    for f in {f for _, _, f in plan.flows}:
         g = math.gcd(f, S)
-        lines.append(f"{i},{j},{f // g},{S // g}")
-    return lines
+        mass[f] = f"{f // g},{S // g}"
+    return ["i,j,num,den"] + [f"{i},{j},{mass[f]}" for i, j, f in plan.flows]
 
 
 def save_plan_csv(plan: TransportPlan, path):

@@ -58,7 +58,8 @@ class TransportPlan:
 
     Feasible by construction: ``flows`` is sorted to (i asc, j asc), then
     ``validate`` runs, so m, n, S and every i, j, f_ij are ints, each
-    f_ij >= 1 and rows sum to S/m, columns to S/n.
+    f_ij >= 1 and rows sum to S/m, columns to S/n.  Any other input raises
+    ValueError, flows that cannot be sorted included.
     """
 
     m: int
@@ -67,7 +68,12 @@ class TransportPlan:
     flows: tuple  # ((i, j, f), ...)
 
     def __post_init__(self):
-        object.__setattr__(self, "flows", tuple(sorted(map(tuple, self.flows))))
+        try:
+            flows = tuple(sorted(map(tuple, self.flows)))
+        except TypeError:  # not iterable, or entries that do not compare
+            raise ValueError("flows must be an iterable of (i, j, f) triples "
+                             "of ints") from None
+        object.__setattr__(self, "flows", flows)
         self.validate()
 
     def validate(self):
@@ -194,15 +200,16 @@ def _rooted_forest(arcs, c):
     tree's lowest node is a source, and a spanning tree is rooted at node 0.
     Returns (parent, children, pflow, pcost, tree) as plain lists, with
     parent -1 at each root: the arc from x to parent[x] carries pflow[x] and
-    costs pcost[x], gathered in one index of c, and tree[x] numbers x's tree
-    in the order of the roots.  Raises SupportCycleError at the first arc
-    that closes a cycle.
+    costs pcost[x], read with one ``c.item`` per arc, and tree[x] numbers x's
+    tree in the order of the roots.  Raises SupportCycleError at the first
+    arc that closes a cycle.
     """
     m, n = c.shape
     size = m + n
-    costs = c[[i for i, _, _ in arcs], [j for _, j, _ in arcs]].tolist()
+    cost = c.item
     adj = [[] for _ in range(size)]
-    for (i, j, f), cij in zip(arcs, costs):
+    for i, j, f in arcs:
+        cij = cost(i, j)
         adj[i].append((m + j, f, cij))
         adj[m + j].append((i, f, cij))
     parent = [-1] * size
@@ -425,16 +432,16 @@ def objective(inst: Instance, plan: TransportPlan) -> float:
 def scaled_objective(inst: Instance, plan: TransportPlan) -> float:
     """Integer-weighted cost sum c_ij * f_ij (no division by the scale).
 
-    Sums in flow order over one (i, j) gather of the support's costs, so the
-    cost is O(support).  It folds left, which ``sum()`` stopped doing in Python
-    3.12, so every Python gets the same bits.  Raises ValueError on a shape mismatch.
+    Sums in flow order from +0.0, reading each support cost with one
+    ``c.item``, so the cost is O(support).  It folds left, which ``sum()``
+    stopped doing in Python 3.12, so every Python gets the same bits.  Raises
+    ValueError on a shape mismatch.
     """
     check_shape(inst, plan)
-    flows = plan.flows
-    costs = inst.costs.c[[i for i, _, _ in flows], [j for _, j, _ in flows]].tolist()
+    cost = inst.costs.c.item
     total = 0.0
-    for cij, (_, _, f) in zip(costs, flows):
-        total += cij * f
+    for i, j, f in plan.flows:
+        total += cost(i, j) * f
     return total
 
 

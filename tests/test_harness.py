@@ -31,6 +31,7 @@ from otrigid import (
     save_plan_csv,
     solve,
     stats_dict,
+    uncross,
 )
 from otrigid.cli import main
 from otrigid.experiments import build_instance
@@ -75,6 +76,46 @@ def test_plan_csv_format_and_roundtrip(tmp_path):
     assert back == plan
     inferred = load_plan_csv(path)
     assert inferred.flows == plan.flows and inferred.scale == plan.scale
+    # plans with many masses: every line is the per-flow gcd form, and the
+    # file gives the plan back
+    plans = []
+    for n in range(2, 30):  # uncross of the tiny-audit product couplings
+        inst = gen_random_costs(n, n + 1, n)
+        unit = inst.scale // (n * (n + 1))
+        plans.append(uncross(inst, TransportPlan(n, n + 1, inst.scale, tuple(
+            (i, j, unit) for i in range(n) for j in range(n + 1)))))
+    plans.append(solve(build_instance(ExperimentSpec("sec22", out_dir=""), 0)))
+    rng = np.random.default_rng(29)
+    plans.append(_northwest_plan(rng.permutation(97).tolist(), rng.permutation(105).tolist()))
+    assert len(plans[-2].flows) == 2006 and len({f for _, _, f in plans[-2].flows}) == 7
+    for plan in plans:
+        S = plan.scale
+        want = ["i,j,num,den"]
+        for i, j, f in plan.flows:
+            g = math.gcd(f, S)
+            want.append(f"{i},{j},{f // g},{S // g}")
+        assert plan_csv_lines(plan) == want
+        save_plan_csv(plan, path)
+        assert load_plan_csv(path, plan.m, plan.n, S) == plan
+
+
+def _northwest_plan(rows, cols):
+    """The northwest-corner plan at scale lcm(m, n), rows and columns taken in
+    the given orders: a sparse plan with many distinct masses."""
+    m, n = len(rows), len(cols)
+    S = math.lcm(m, n)
+    left_r, left_c = [S // m] * m, [S // n] * n
+    flows = []
+    a = b = 0
+    while a < m and b < n:
+        i, j = rows[a], cols[b]
+        q = min(left_r[i], left_c[j])
+        flows.append((i, j, q))
+        left_r[i] -= q
+        left_c[j] -= q
+        a += not left_r[i]
+        b += not left_c[j]
+    return TransportPlan(m, n, S, flows)
 
 
 def test_plan_csv_load_reduces_masses(tmp_path):

@@ -420,15 +420,38 @@ def test_objective_permutation_formula():
     assert objective(inst, plan) == pytest.approx(expected, rel=1e-14)
 
 
+def _entrywise_left_fold(inst, plan):
+    total = 0.0
+    for i, j, f in plan.flows:
+        total = total + float(inst.costs.c[i, j]) * f
+    return total
+
+
 def test_scaled_objective_matches_entrywise_sum():
-    # the gathered sum must be bit-identical to the entry-by-entry one
+    # bit for bit the entry-by-entry left fold from +0.0 (float.hex tells
+    # -0.0 from 0.0), on random costs, the product couplings of every
+    # tiny-audit uncross shape and the hostile matrices at 2**(+-150)
     rng = np.random.default_rng(5)
+    cases = []
     for _ in range(20):
         m, n = int(rng.integers(1, 12)), int(rng.integers(1, 40))
         inst = Instance(CostMatrix(rng.normal(size=(m, n)) * 10.0 ** rng.integers(-30, 30)))
-        for plan in (solve(inst), _random_sparse_plan(rng, m, n, 3)):
-            c = inst.costs.c
-            assert scaled_objective(inst, plan) == sum(c[i, j] * f for i, j, f in plan.flows)
+        cases += [(inst, solve(inst)), (inst, _random_sparse_plan(rng, m, n, 3))]
+    # the product couplings n x (n+1), n = 2..29: up to 870 flows
+    cases += itertools.islice(_uncross_corpus(), 28)
+    for _, c in _hostile_costs() + [("negative-zeros-3x4", np.full((3, 4), -0.0))]:
+        m, n = c.shape
+        plan = _random_sparse_plan(rng, m, n, 3)
+        for k in (0, 150, -150):
+            inst = Instance(CostMatrix(c * 2.0**k))
+            cases.append((inst, plan))
+            if m * n <= 1000:
+                cases.append((inst, solve(inst)))
+    for inst, plan in cases:
+        got = scaled_objective(inst, plan)
+        assert got.hex() == _entrywise_left_fold(inst, plan).hex()
+        if not inst.costs.c.any():
+            assert got.hex() == (0.0).hex()  # +0.0, even over -0.0 costs
     # an index past the matrix cannot reach it: the plan is not built
     with pytest.raises(ValueError, match="out of range"):
         TransportPlan(2, 3, 6, ((0, 3, 1),))
@@ -883,6 +906,12 @@ def test_plan_validate_rejects_bad_marginals():
         ((1, 1, 2.0, ((0, 0, 2),)), "must be ints"),
         ((1.0, 1, 1, ((0, 0, 1),)), "must be ints"),
         ((1, np.int64(1), 1, ((0, 0, 1),)), "must be ints"),
+        # flows the sort cannot order are a ValueError too, not a TypeError
+        ((1, 2, 2, ((0, "a", 1), (0, 1, 1))), "flows must be"),
+        ((1, 2, 2, ((None, 0, 1), (0, 1, 1))), "flows must be"),
+        ((1, 2, 2, ((0, [1], 1), (0, 1, 1))), "flows must be"),
+        ((1, 2, 2, None), "flows must be"),
+        ((1, 2, 2, (5, 7)), "flows must be"),
     ):
         with pytest.raises(ValueError, match=match):
             TransportPlan(*args)
