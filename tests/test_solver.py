@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -259,6 +260,10 @@ def _fig1_20(seed):
     return build_instance(ExperimentSpec("fig1", "", ell=20), seed)
 
 
+def _fig2(seed):
+    return build_instance(ExperimentSpec("fig2", ""), seed)
+
+
 def _count_pivots(monkeypatch):
     """Count _pick's entering arcs and _price's calls made by solve."""
     counts = {"pivots": 0, "pricings": 0}
@@ -333,8 +338,8 @@ def test_potentials_are_exact_at_every_pivot(inst, monkeypatch):
 
 # (pivots, full pricings) of solve, counted by wrapping _pick and _price
 PIVOT_PATH = {
-    ("sec22", 0): (55, 19), ("sec22", 1): (161, 44), ("sec22", 2): (92, 28),
-    ("fig1 ell=20", 0): (116, 16), ("fig1 ell=20", 1): (112, 14),
+    ("sec22", 0): (95, 25), ("sec22", 1): (118, 31), ("sec22", 2): (129, 32),
+    ("fig1 ell=20", 0): (79, 11), ("fig1 ell=20", 1): (76, 10),
 }
 
 
@@ -346,13 +351,29 @@ def test_pivot_path_pinned(preset, seed, monkeypatch):
     assert (counts["pivots"], counts["pricings"]) == PIVOT_PATH[preset, seed]
 
 
+def test_pivot_limit_counts_pivots_and_names_itself(monkeypatch):
+    # the limit is m*n + _PIVOT_SLACK pivots: set to fig1 ell=20 s0's pinned
+    # count it solves, one below that it raises and names the limit
+    inst = _fig1_20(0)
+    plan = solve(inst)
+    pivots = PIVOT_PATH["fig1 ell=20", 0][0]
+    slack = pivots - inst.m * inst.n
+    monkeypatch.setattr(solver_mod, "_PIVOT_SLACK", slack)
+    assert solve(inst) == plan
+    monkeypatch.setattr(solver_mod, "_PIVOT_SLACK", slack - 1)
+    with pytest.raises(RuntimeError, match=f"pivot limit of {pivots - 1} "):
+        solve(inst)
+
+
 @pytest.mark.parametrize("inst", [
     pytest.param(_sec22(seed), id=f"sec22-s{seed}") for seed in range(3)
-] + [pytest.param(_fig1_20(seed), id=f"fig1-ell20-s{seed}") for seed in range(2)])
+] + [pytest.param(_fig1_20(seed), id=f"fig1-ell20-s{seed}") for seed in range(2)] + [
+    pytest.param(_fig2(0), id="fig2-s0"),
+])
 def test_solve_maps_under_invariances(inst):
     # transposing the costs, permuting the sources and the targets, adding
     # a_i + b_j and scaling by 2**-600 or 2**600 each map the optimal vertex
-    # exactly
+    # exactly; the start's centred order sees a_i + b_j only up to rounding
     c = inst.costs.c
     m, n = c.shape
     flows = set(solve(Instance(CostMatrix(c))).flows)
@@ -915,6 +936,18 @@ def test_plan_validate_rejects_bad_marginals():
     ):
         with pytest.raises(ValueError, match=match):
             TransportPlan(*args)
+
+
+@pytest.mark.parametrize("flows,bad", [
+    (((0, 1),), (0, 1)),
+    (((0, 0, 1), ()), ()),
+    (((0, 0, 1, 5), (0, 1, 1)), (0, 0, 1, 5)),
+    (((0, 0, 1), (0, 1, 1, 0)), (0, 1, 1, 0)),
+])
+def test_plan_names_an_entry_that_is_not_a_triple(flows, bad):
+    # a short or a long entry is named, not left to tuple unpacking
+    with pytest.raises(ValueError, match=re.escape(f"flow entry {bad!r} is not an (i, j, f) triple")):
+        TransportPlan(1, 2, 2, flows)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (4, 4), (3, 2)])
