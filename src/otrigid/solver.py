@@ -3,16 +3,17 @@
 Flows are integers at scale S (a multiple of lcm(m, n)); each source emits
 S/m units and each target absorbs S/n units.  The solver maintains a
 spanning-tree basis on the bipartite graph K_{m,n}, rooted at source 0 and
-kept as node-indexed lists, the only record of the basis: the tree arc from
-node x to parent[x] keeps its flow in pflow[x] and its cost in pcost[x],
-beside the children lists.  A pivot walks only its cycle and the subtree it
-re-hangs, and touches no dict.  Potentials are one list w, with w_i = u_i for
-a source and w_{m+j} = -v_j for a target.
+kept as node-indexed lists, the only record of the basis.  Potentials are
+one list w, with w_i = u_i for a source and w_{m+j} = -v_j for a target; the
+tree arc from node x to parent[x] keeps its flow in pflow[x] and its step
+step[x] = w[x] - w[parent[x]] (-c_ij when x is a target, +c_ij when x is a
+source), beside the children lists.  A pivot walks only its cycle and the
+subtree it re-hangs, and touches no dict.
 
-``_tree_potentials`` is the one propagation of w: for the start, for each
-pivot's re-hung subtree and for ``verify_optimality``, whose
-``_rooted_forest`` roots the support forest of any plan (each tree at its
-lowest node, so a spanning tree at source 0) as ``solve`` roots its basis.
+``_tree_potentials`` is the one propagation of w, w[y] = w[x] + step[y]: for
+the start, for each pivot's re-hung subtree and for ``verify_optimality``,
+whose ``_rooted_forest`` roots the support forest of any plan (each tree at
+its lowest node, so a spanning tree at source 0) as ``solve`` roots its basis.
 
 It pivots on an exactly perturbed integer problem (see
 ``_perturbed_marginals``) whose every basis is nondegenerate: each pivot
@@ -28,7 +29,7 @@ the least-squares fit of u_i + v_j to c taken off.  Adding a_i + b_j to c
 moves no optimum (Ahuja, Magnanti & Orlin 1993, chapter 11) but would move
 the order of c itself, and W2 costs carry such offsets, |x_i|^2 and |y_j|^2,
 that steer the greedy allocation wrong; the start ignores them.  The
-centred matrix sets only that order: the tree's arc costs, so the
+centred matrix sets only that order: the tree's steps, so the
 potentials, the pricing and the stopping rule, are read off c.  The start
 screens the order against live-row and live-column masks in numpy.
 
@@ -213,13 +214,14 @@ def _least_cost_basis(c_np, supply, demand):
 
 def _rooted_forest(arcs, c):
     """Root every tree of the forest on ``arcs``, (i, j, f) triples, at its
-    lowest node; c is the m x n cost matrix.
+    lowest node, and propagate its potentials; c is the m x n cost matrix.
 
     Nodes are sources 0..m-1 and targets m..m+n-1; in a feasible plan each
     tree's lowest node is a source, and a spanning tree is rooted at node 0.
-    Returns (parent, children, pflow, pcost, tree) as plain lists, with
+    Returns (parent, children, pflow, step, w, tree) as plain lists, with
     parent -1 at each root: the arc from x to parent[x] carries pflow[x] and
-    costs pcost[x], read with one ``c.item`` per arc, and tree[x] numbers x's
+    steps step[x], -c_ij or +c_ij read with one ``c.item`` per arc; w is 0 at
+    each root and ``_tree_potentials`` below it, and tree[x] numbers x's
     tree in the order of the roots.  Raises SupportCycleError at the first
     arc that closes a cycle.
     """
@@ -229,60 +231,56 @@ def _rooted_forest(arcs, c):
     adj = [[] for _ in range(size)]
     for i, j, f in arcs:
         cij = cost(i, j)
-        adj[i].append((m + j, f, cij))
+        adj[i].append((m + j, f, -cij))  # a target child steps down by c_ij
         adj[m + j].append((i, f, cij))
     parent = [-1] * size
     pflow = [0] * size
-    pcost = [0.0] * size
+    step = [0.0] * size
     tree = [-1] * size
     children = [[] for _ in range(size)]
-    k = 0
+    roots = []
     for root in range(size):
         if tree[root] >= 0:
             continue
-        tree[root] = k
+        tree[root] = k = len(roots)
+        roots.append(root)
         stack = [root]
         while stack:
             x = stack.pop()
             up = parent[x]
             kids = children[x]
-            for nb, f, cij in adj[x]:
+            for nb, f, s in adj[x]:
                 if nb != up:
                     if tree[nb] >= 0:
                         raise SupportCycleError("support contains a cycle")
                     tree[nb] = k
                     parent[nb] = x
                     pflow[nb] = f
-                    pcost[nb] = cij
+                    step[nb] = s
                     kids.append(nb)
             stack.extend(kids)
-        k += 1
-    return parent, children, pflow, pcost, tree
+    w = [0.0] * size
+    _tree_potentials(w, roots, children, step)
+    return parent, children, pflow, step, w, tree
 
 
-def _tree_potentials(w, stack, children, pcost, m):
-    """Fill w below the nodes on ``stack``, whose w is set, so that u_i + v_j
-    = c_ij on each tree arc; pcost[x] is the cost of x's arc to its parent.
+def _tree_potentials(w, stack, children, step):
+    """Fill w below the nodes on ``stack``, whose w is set: w[y] = w[x] +
+    step[y] for each child y of x, so that u_i + v_j = c_ij on each tree arc.
 
     w_i = u_i for a source and w_{m+j} = -v_j for a target, so reduced costs
-    are c_ij - w_i + w_{m+j}.  Each w is read off its parent's w and arc cost,
-    so a re-hung subtree gets the bits a propagation from the root gives.
-    Only nodes with children go on the stack, which ends empty: most targets
-    are leaves.
+    are c_ij - w_i + w_{m+j}.  Each w is read off its parent's w and its
+    step, so a re-hung subtree gets the bits a propagation from the root
+    gives.  Only nodes with children go on the stack, which ends empty: most
+    targets are leaves.
     """
     while stack:
         x = stack.pop()
         wx = w[x]
-        if x < m:
-            for t in children[x]:
-                w[t] = wx - pcost[t]
-                if children[t]:
-                    stack.append(t)
-        else:
-            for i in children[x]:
-                w[i] = pcost[i] + wx
-                if children[i]:
-                    stack.append(i)
+        for y in children[x]:
+            w[y] = wx + step[y]
+            if children[y]:
+                stack.append(y)
 
 
 def _price(c_np, w, cut, size, red):
@@ -291,9 +289,10 @@ def _price(c_np, w, cut, size, red):
     Returns them as (c_ij, i, m+j) triples in arc-index order; ``red`` is an
     m x n buffer.  Tree arcs need no mask, and ``solve`` relies on it: w is
     one propagation from the root, so a tree arc whose child is the target,
-    w_t = fl(w_i - c_ij), prices fl(c_ij - w_i) + w_t = 0 exactly, and one
-    whose child is the source, w_i = fl(c_ij + w_t), is off by about one
-    rounding of |w|, the ``TIE_TOL`` comment's bound, far above -costs.tie.
+    w_t = w_i + step_t = fl(w_i - c_ij), prices fl(c_ij - w_i) + w_t = 0
+    exactly, and one whose child is the source, w_i = fl(w_t + c_ij), is off
+    by about one rounding of |w|, the ``TIE_TOL`` comment's bound, far above
+    -costs.tie.
     """
     m, n = red.shape
     wa = np.array(w)
@@ -345,10 +344,8 @@ def solve(inst: Instance) -> TransportPlan:
     # sum / n gives np.mean's bits without its fixed cost on tiny shapes
     centred = c_np - c_np.sum(axis=1, keepdims=True) / n
     centred -= centred.sum(axis=0) / m
-    parent, children, pflow, pcost, _ = _rooted_forest(
+    parent, children, pflow, step, w, _ = _rooted_forest(
         _least_cost_basis(centred, supply, demand), c_np)
-    w = [0.0] * (m + n)
-    _tree_potentials(w, [0], children, pcost, m)
 
     mark = [0] * (m + n)  # apex search: last pivot tag that climbed a node
     enter_cut = -inst.costs.tie
@@ -412,26 +409,27 @@ def solve(inst: Instance) -> TransportPlan:
         # dropping the leaving arc detaches the subtree under ``out``; it
         # holds the entering endpoint q on out's side of the cycle.  Re-hang
         # it from the other endpoint r by reversing the parent pointers on
-        # the path q .. out, each node taking over the flow and cost of the
-        # arc to its old child on the path; q takes the entering arc, with
-        # theta and its cost.  Then recompute the subtree's potentials from r
-        # down its arcs, so that w stays what a propagation from the root gives
+        # the path q .. out, each node taking over the flow and the negated
+        # step of the arc to its old child on the path; q takes the entering
+        # arc, with theta and the step of its cost.  Then recompute the
+        # subtree's potentials from r down its arcs, so that w stays what a
+        # propagation from the root gives
         q, r = (ei, et) if out_on_a else (et, ei)
-        f, c = theta, ce
+        f, s = theta, (ce if q < m else -ce)
         children[parent[out]].remove(out)
         prev, x = r, q
         while True:
             up = parent[x]
             parent[x] = prev
             f, pflow[x] = pflow[x], f
-            c, pcost[x] = pcost[x], c
+            s, step[x] = -step[x], s
             children[prev].append(x)
             if x == out:
                 break
             children[up].remove(x)
             prev, x = x, up
-        w[q] = ce + w[r] if q < m else w[r] - ce
-        _tree_potentials(w, [q], children, pcost, m)
+        w[q] = w[r] + step[q]
+        _tree_potentials(w, [q], children, step)
     else:
         raise RuntimeError(f"network simplex exceeded its pivot limit of {limit} "
                            f"(m*n + {_PIVOT_SLACK}) on a {m}x{n} instance")
@@ -479,19 +477,17 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
 
     A reduced cost within costs.tie of zero counts as zero.
 
-    The support is rooted as a forest (``_rooted_forest``) and potentials
-    are propagated down each tree in ``solve``'s w form.  Each tree's
+    The support is rooted as a forest (``_rooted_forest``), which propagates
+    potentials down each tree in ``solve``'s w form.  Each tree's
     additive freedom is then fixed by solving the induced difference
     constraints (Bellman-Ford over trees), so that a valid certificate is
     found whenever one exists.  Raises SupportCycleError if the support is
     not a forest, and ValueError when the shapes differ.
     """
     check_shape(inst, plan)
-    m, n = inst.m, inst.n
+    m = inst.m
     c = inst.costs.c
-    parent, children, _, pcost, tree = _rooted_forest(plan.flows, c)
-    w = [0.0] * (m + n)
-    _tree_potentials(w, [x for x, up in enumerate(parent) if up < 0], children, pcost, m)
+    parent, _, _, _, w, tree = _rooted_forest(plan.flows, c)
     w = np.array(w)
     comp = np.array(tree)
     tie = inst.costs.tie

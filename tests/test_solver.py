@@ -314,9 +314,11 @@ def test_potentials_are_exact_at_every_pivot(inst, monkeypatch):
     fill = solver_mod._tree_potentials
     checks = 0
 
-    def checked_fill(w, stack, children, pcost, m):
+    m = inst.m
+
+    def checked_fill(w, stack, children, step):
         nonlocal checks
-        fill(w, stack, children, pcost, m)
+        fill(w, stack, children, step)
         fresh = _propagate_from_node_0(children, c, m)
         assert [x.hex() for x in w] == [x.hex() for x in fresh]
         # _price masks no tree arc: one whose target is the child prices to
@@ -373,7 +375,9 @@ def test_pivot_limit_counts_pivots_and_names_itself(monkeypatch):
 def test_solve_maps_under_invariances(inst):
     # transposing the costs, permuting the sources and the targets, adding
     # a_i + b_j and scaling by 2**-600 or 2**600 each map the optimal vertex
-    # exactly; the start's centred order sees a_i + b_j only up to rounding
+    # exactly; the start's centred order sees a_i + b_j only up to rounding.
+    # For W2, scaling the source cloud by lam and moving it by t makes the
+    # costs lam*c + a_i + b_j, which moves no optimum either
     c = inst.costs.c
     m, n = c.shape
     flows = set(solve(Instance(CostMatrix(c))).flows)
@@ -392,11 +396,19 @@ def test_solve_maps_under_invariances(inst):
     for k in (-600, 600):
         assert set(solve(Instance(CostMatrix(c * 2.0**k))).flows) == flows
 
+    geo = inst.geometry
+    if geo is not None and geo.p == 2.0:
+        x, y = geo.sources.points, geo.targets
+        for lam, t in ((2, 0), (0.5, (3, 1)), (1, (0.25, -0.5)), (3, (-1.5, 0.75))):
+            moved = cost_from_points(PointCloud(lam * x + np.array(t)), y, 2.0)
+            assert set(solve(moved).flows) == flows
+
 
 def _assignment_cases(count):
     # seeded hostile instances whose scale S = lcm(m, n) is at most 400:
     # integer 0..3 costs, W1 on a 4x4 lattice, uniform costs scaled by
-    # 2**150 or 2**-150, and uniform costs rounded to two digits
+    # 2**150 or 2**-150, and uniform costs rounded to two digits; then three
+    # tie-heavy 40x60 W1 instances on a 5x5 lattice, the fig1 ell=20 shape
     rng = np.random.default_rng(12)
     shapes = [(m, n) for m in range(1, 13) for n in range(1, 25) if math.lcm(m, n) <= 400]
     for case in range(count):
@@ -412,12 +424,17 @@ def _assignment_cases(count):
         else:
             c = np.round(rng.random((m, n)), 2)
         yield Instance(CostMatrix(c))
+    for seed in range(3):
+        lattice = np.random.default_rng(seed)
+        x, y = lattice.integers(0, 5, (40, 2)), lattice.integers(0, 5, (60, 2))
+        yield cost_from_points(PointCloud(x), PointCloud(y), 1.0)
 
 
 def test_solve_matches_an_independent_assignment_optimum():
     # an S x S assignment, with each row of c repeated S/m times and each
     # column S/n times, has the optimal scaled cost of the transport problem;
-    # scipy's solver shares no code with solve
+    # scipy's solver shares no code with solve.  Only the objective and the
+    # certificate are compared: on ties another optimal vertex is legitimate
     optimize = pytest.importorskip("scipy.optimize")
     for inst in _assignment_cases(600):
         c, m, n, S = inst.costs.c, inst.m, inst.n, inst.scale
