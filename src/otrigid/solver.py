@@ -13,7 +13,9 @@ subtree it re-hangs, and touches no dict.
 ``_tree_potentials`` is the one propagation of w, w[y] = w[x] + step[y]: for
 the start, for each pivot's re-hung subtree and for ``verify_optimality``,
 whose ``_rooted_forest`` roots the support forest of any plan (each tree at
-its lowest node, so a spanning tree at source 0) as ``solve`` roots its basis.
+its lowest node, so a spanning tree at source 0).  ``solve`` does not call
+``_rooted_forest``: its start roots its tree as it allocates, so a rooting
+fault cannot pass both the start and the certificate.
 
 It pivots on an exactly perturbed integer problem (see
 ``_perturbed_marginals``) whose every basis is nondegenerate: each pivot
@@ -31,12 +33,14 @@ the order of c itself, and W2 costs carry such offsets, |x_i|^2 and |y_j|^2,
 that steer the greedy allocation wrong; the start ignores them.  The
 centred matrix sets only that order: the tree's steps, so the
 potentials, the pricing and the stopping rule, are read off c.  The start
-screens the order against live-row and live-column masks in numpy.
+screens the order against live-row and live-column masks in numpy, and
+builds the rooted tree as it allocates (``_least_cost_basis``).
 
 Pricing keeps a candidate list: a full numpy pricing of all m*n arcs keeps
-the most negative ones, each later pivot reprices only those and enters the
-most negative, and a new full pricing runs only when none is left below the
-entering cut -costs.tie, under which a reduced cost is not a tie with zero.
+the most negative ones and enters the most negative of them itself; each
+later pivot reprices only the rest and enters the most negative, and a new
+full pricing runs only when none is left below the entering cut -costs.tie,
+under which a reduced cost is not a tie with zero.
 The solve stops when a full pricing finds no arc below the cut.  Each w it
 prices is bit for bit what one propagation from the root gives, so the
 returned plan is an optimal polytope vertex.
@@ -157,33 +161,44 @@ def _perturbed_marginals(m, n, scale):
     return k, [k * scale // m + 1] * m, demand
 
 
-def _least_cost_basis(c_np, supply, demand):
-    """Initial spanning-tree basis: matrix-minimum allocation.
+def _least_cost_basis(c, rank, supply, demand):
+    """Initial spanning-tree basis: matrix-minimum allocation, rooted as it
+    is allocated.  c is the cost matrix, ``rank`` the matrix whose order
+    sets the allocation order (``solve`` passes the centred costs).
 
-    Arcs are visited in ascending cost (ties in row-major order) and each
-    gets as much flow as its row and column still allow.  Every allocation
-    exhausts a row or a column, so the positive arcs form a forest whose
-    components each balance supply and demand; on perturbed marginals only
-    the whole graph balances, so they are one spanning tree of m+n-1
-    positive arcs.  Returns their (i, j, flow) triples in allocation order.
+    Arcs are visited in ascending ``rank`` (ties in row-major order) and
+    each gets as much flow as its row and column still allow.  On perturbed
+    marginals no proper set of nodes balances, so every allocation but the
+    last empties exactly one of its row and column, and the last empties
+    both: the m+n-1 positive arcs are one spanning tree.  The emptied node
+    hangs from the other endpoint, which empties later, with its flow and
+    its step, +c_ij for a source and -c_ij for a target (one ``c.item`` per
+    arc), so the tree is rooted at the last allocation's target.  Reversing
+    the path from node 0 to that root, as a pivot's re-hang does, roots it
+    at node 0.  Returns (parent, children, pflow, step, w) as in
+    ``_rooted_forest``, with w propagated once by ``_tree_potentials``.
 
     The default argsort is 4-7 times as fast as the stable one at a few
-    thousand arcs, and gives the same order unless two costs are exactly
-    equal.  After the first ``_START_BLOCK`` arcs, each block of the cost
-    order is screened against live-row and live-column masks, so the Python
+    thousand arcs, and gives the same order unless two ranks are exactly
+    equal.  After the first ``_START_BLOCK`` arcs, each block of the order
+    is screened against live-row and live-column masks, so the Python
     loop sees only arcs whose row and column were both live when their block
     began.  The masks are built at the second block, so shapes of one block
     run the plain loop.
     """
-    m, n = c_np.shape
-    order = np.argsort(c_np, axis=None)
-    ranked = c_np.take(order)
+    m, n = c.shape
+    size = m + n
+    cost = c.item
+    order = np.argsort(rank, axis=None)
+    ranked = rank.take(order)
     if (ranked[1:] == ranked[:-1]).any():  # exact tie: keep row-major order
-        order = np.argsort(c_np, axis=None, kind="stable")
+        order = np.argsort(rank, axis=None, kind="stable")
     rem_rows = list(supply)
     rem_cols = list(demand)
     dead_rows, dead_cols = [], []  # emptied since the last screen
-    flows = []
+    parent = [-1] * size
+    pflow = [0] * size
+    step = [0.0] * size
     rows_left = m
     for lo in range(0, m * n, _START_BLOCK):
         block = order[lo:lo + _START_BLOCK]
@@ -197,24 +212,50 @@ def _least_cost_basis(c_np, supply, demand):
             dead_cols.clear()
             block = block[live_rows[block // n] & live_cols[block % n]]
         for i, j in zip((block // n).tolist(), (block % n).tolist()):
-            if rem_rows[i] and rem_cols[j]:
-                q = min(rem_rows[i], rem_cols[j])
-                flows.append((i, j, q))
-                rem_rows[i] -= q
-                rem_cols[j] -= q
-                if not rem_rows[i]:
+            fi, fj = rem_rows[i], rem_cols[j]
+            if fi and fj:
+                t = m + j
+                if fi <= fj:  # row i empties, and column j too at the last
+                    parent[i] = t
+                    pflow[i] = fi
+                    step[i] = cost(i, j)
+                    rem_rows[i] = 0
+                    rem_cols[j] = fj - fi
                     dead_rows.append(i)
                     rows_left -= 1
                     if not rows_left:  # every row empty, hence every column
-                        return flows
-                if not rem_cols[j]:
+                        break
+                else:
+                    parent[t] = i
+                    pflow[t] = fj
+                    step[t] = -cost(i, j)
+                    rem_rows[i] = fi - fj
+                    rem_cols[j] = 0
                     dead_cols.append(j)
-    return flows
+        if not rows_left:
+            break
+    # root at node 0: each node on the path from 0 to the root takes the
+    # flow and the negated step of the arc to its old child on the path
+    prev, f, s, x = -1, 0, 0.0, 0
+    while x >= 0:
+        up = parent[x]
+        parent[x] = prev
+        f, pflow[x] = pflow[x], f
+        s, step[x] = -step[x], s
+        prev, x = x, up
+    children = [[] for _ in range(size)]
+    for x in range(1, size):
+        children[parent[x]].append(x)
+    w = [0.0] * size
+    _tree_potentials(w, [0], children, step)
+    return parent, children, pflow, step, w
 
 
 def _rooted_forest(arcs, c):
     """Root every tree of the forest on ``arcs``, (i, j, f) triples, at its
     lowest node, and propagate its potentials; c is the m x n cost matrix.
+    It roots the support of the plan ``verify_optimality`` certifies;
+    ``solve``'s start roots its own tree, in the same form.
 
     Nodes are sources 0..m-1 and targets m..m+n-1; in a feasible plan each
     tree's lowest node is a source, and a spanning tree is rooted at node 0.
@@ -284,11 +325,16 @@ def _tree_potentials(w, stack, children, step):
 
 
 def _price(c_np, w, cut, size, red):
-    """Full pricing: the ``size`` most negative arcs with reduced cost < cut.
+    """Full pricing: enter the most negative arc and list the next ones.
 
-    Returns them as (c_ij, i, m+j) triples in arc-index order; ``red`` is an
-    m x n buffer.  Tree arcs need no mask, and ``solve`` relies on it: w is
-    one propagation from the root, so a tree arc whose child is the target,
+    Keeps the ``size`` most negative arcs with reduced cost < cut and
+    returns (entering, rest): the most negative of them, ties to the lowest
+    arc index, and the others in arc-index order, each as a (c_ij, i, m+j)
+    triple; (None, []) when no arc is below the cut.  numpy's
+    fl(c_ij - w_i) + w_t is the sum ``_pick`` makes, so this is what
+    ``_pick`` would enter from the kept arcs.  ``red`` is an m x n buffer.
+    Tree arcs need no mask, and ``solve`` relies on it: w is one
+    propagation from the root, so a tree arc whose child is the target,
     w_t = w_i + step_t = fl(w_i - c_ij), prices fl(c_ij - w_i) + w_t = 0
     exactly, and one whose child is the source, w_i = fl(w_t + c_ij), is off
     by about one rounding of |w|, the ``TIE_TOL`` comment's bound, far above
@@ -300,10 +346,15 @@ def _price(c_np, w, cut, size, red):
     np.add(red, wa[None, m:], out=red)
     flat = red.reshape(-1)
     arcs = (flat < cut).nonzero()[0]
+    if not arcs.size:
+        return None, []
+    reds = flat[arcs]
     if arcs.size > size:
-        arcs = np.sort(arcs[np.argpartition(flat[arcs], size - 1)[:size]])
-    return list(zip(c_np.take(arcs).tolist(), (arcs // n).tolist(),
+        keep = np.sort(np.argpartition(reds, size - 1)[:size])
+        arcs, reds = arcs[keep], reds[keep]
+    cand = list(zip(c_np.take(arcs).tolist(), (arcs // n).tolist(),
                     (arcs % n + m).tolist()))
+    return cand.pop(int(reds.argmin())), cand  # argmin: the first minimum
 
 
 def _pick(cand, w, cut):
@@ -311,8 +362,7 @@ def _pick(cand, w, cut):
 
     Keeps in ``cand`` only the others still below ``cut`` and returns the
     entering (c_ij, i, m+j), or None when no candidate is below it.  Ties
-    go to the earliest candidate, so after a full pricing this is Dantzig's
-    rule with the lowest arc index.
+    go to the earliest candidate, the lowest arc index, as in ``_price``.
     """
     best = cut
     keep = []
@@ -344,8 +394,7 @@ def solve(inst: Instance) -> TransportPlan:
     # sum / n gives np.mean's bits without its fixed cost on tiny shapes
     centred = c_np - c_np.sum(axis=1, keepdims=True) / n
     centred -= centred.sum(axis=0) / m
-    parent, children, pflow, step, w, _ = _rooted_forest(
-        _least_cost_basis(centred, supply, demand), c_np)
+    parent, children, pflow, step, w = _least_cost_basis(c_np, centred, supply, demand)
 
     mark = [0] * (m + n)  # apex search: last pivot tag that climbed a node
     enter_cut = -inst.costs.tie
@@ -356,8 +405,7 @@ def solve(inst: Instance) -> TransportPlan:
     for pivot in range(limit + 1):  # the last pass only finds no entering arc
         entering = _pick(cand, w, enter_cut)
         if entering is None:
-            cand = _price(c_np, w, enter_cut, list_size, red)
-            entering = _pick(cand, w, enter_cut)
+            entering, cand = _price(c_np, w, enter_cut, list_size, red)
             if entering is None:
                 break
         ce, ei, et = entering

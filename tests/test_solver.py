@@ -35,6 +35,9 @@ from otrigid.io import plan_csv_lines
 from otrigid.solver import (
     _least_cost_basis,
     _perturbed_marginals,
+    _pick,
+    _price,
+    _rooted_forest,
     _solve_difference_constraints,
     find_crossings,
     scaled_objective,
@@ -207,19 +210,28 @@ def test_solve_hostile_corpus(c):
        for m, n in ((1, 9), (9, 1), (12, 5), (97, 105))],
 )
 def test_perturbed_start_is_a_positive_spanning_tree(c):
-    # nondegenerate marginals: the matrix-minimum start alone must give m+n-1
-    # positive arcs meeting every marginal, i.e. a spanning tree
+    # nondegenerate marginals: the matrix-minimum start alone must give a
+    # tree rooted at node 0 whose m+n-1 arcs carry at least one unit each
+    # and meet every marginal
     m, n = c.shape
     _, supply, demand = _perturbed_marginals(m, n, math.lcm(m, n))
-    flows = _least_cost_basis(c, supply, demand)
-    assert len(flows) == m + n - 1
-    assert min(f for _, _, f in flows) >= 1
+    parent, children, pflow, step, _ = _least_cost_basis(c, c, supply, demand)
+    assert parent[0] == -1 and pflow[0] == 0
+    assert [sorted(kids) for kids in children] == [
+        [y for y in range(1, m + n) if parent[y] == x] for x in range(m + n)]
     rows, cols = [0] * m, [0] * n
-    for i, j, f in flows:
-        rows[i] += f
-        cols[j] += f
+    for x in range(1, m + n):
+        assert pflow[x] >= 1
+        i, t = (x, parent[x]) if x < m else (parent[x], x)
+        assert 0 <= i < m <= t < m + n  # every arc joins a source and a target
+        rows[i] += pflow[x]
+        cols[t - m] += pflow[x]
+        seen = {x}
+        while x:  # every node reaches the root without a cycle
+            x = parent[x]
+            assert x not in seen
+            seen.add(x)
     assert rows == supply and cols == demand
-    assert _is_forest(m, n, [(i, j) for i, j, _ in flows])
 
 
 def _full_order_start(c, supply, demand):
@@ -244,12 +256,18 @@ def _full_order_start(c, supply, demand):
        for m, n in ((12, 5), (40, 60), (97, 105))],
 )
 def test_least_cost_basis_matches_full_order_walk(c):
-    # the screened start must allocate exactly as a walk over the whole
-    # stable cost order, in the same order
+    # the screened start, rooted as it allocates, must give the tree that
+    # the certificate's independent rooting finds on a walk over the whole
+    # stable cost order: the same parents and flows, and the same steps and
+    # potentials bit for bit
     m, n = c.shape
     _, supply, demand = _perturbed_marginals(m, n, math.lcm(m, n))
-    flows = _least_cost_basis(c, supply, demand)
-    assert flows == _full_order_start(c, supply, demand)
+    parent, _, pflow, step, w = _least_cost_basis(c, c, supply, demand)
+    ref = _rooted_forest(_full_order_start(c, supply, demand), c)
+    assert parent == ref[0]
+    assert pflow == ref[2]
+    assert [x.hex() for x in step] == [x.hex() for x in ref[3]]
+    assert [x.hex() for x in w] == [x.hex() for x in ref[4]]
 
 
 def _sec22(seed):
@@ -265,7 +283,11 @@ def _fig2(seed):
 
 
 def _count_pivots(monkeypatch):
-    """Count _pick's entering arcs and _price's calls made by solve."""
+    """Count the entering arcs solve takes and its full pricings.
+
+    A pivot enters an arc either from _pick, off a list priced at an
+    earlier pivot, or from a full _price, which enters its own best arc.
+    """
     counts = {"pivots": 0, "pricings": 0}
     pick, price = solver_mod._pick, solver_mod._price
 
@@ -275,8 +297,10 @@ def _count_pivots(monkeypatch):
         return entering
 
     def counting_price(*args):
+        entering, rest = price(*args)
         counts["pricings"] += 1
-        return price(*args)
+        counts["pivots"] += entering is not None
+        return entering, rest
 
     monkeypatch.setattr(solver_mod, "_pick", counting_pick)
     monkeypatch.setattr(solver_mod, "_price", counting_price)
@@ -336,6 +360,41 @@ def test_potentials_are_exact_at_every_pivot(inst, monkeypatch):
     monkeypatch.setattr(solver_mod, "_tree_potentials", checked_fill)
     solve(inst)
     assert checks == counts["pivots"] + 1
+
+
+@pytest.mark.parametrize(
+    "c",
+    [pytest.param(c, id=name) for name, c in _hostile_costs()]
+    + [pytest.param(_integer_costs(shape, 4), id=f"int-{shape}") for shape in ((4, 6), (40, 60))],
+)
+def test_full_pricing_enters_what_pick_would(c):
+    # at the start tree's potentials, a full pricing keeps the `size` most
+    # negative arcs below the cut and enters what _pick enters from them in
+    # arc-index order: a reference list priced in Python.  Integer costs make
+    # exact ties among reduced costs, so the tie-break and the order show
+    m, n = c.shape
+    _, supply, demand = _perturbed_marginals(m, n, math.lcm(m, n))
+    w = _least_cost_basis(c, c, supply, demand)[4]
+    cut = -Instance(CostMatrix(c)).costs.tie
+    rows = c.tolist()
+    below = sorted((r, i * n + j) for i in range(m) for j in range(n)
+                   if (r := (rows[i][j] - w[i]) + w[m + j]) < cut)
+    for size in (2, max(64, m * n // 100)):
+        entering, rest = _price(c, w, cut, size, np.empty((m, n)))
+        if not below:
+            assert entering is None and rest == []
+            continue
+        # the kept arcs: all below the size-th reduced cost, and enough of
+        # those tied with it, whichever of them the partition keeps
+        bound = below[min(size, len(below)) - 1][0]
+        kept = {k for r, k in below if r < bound}
+        tied = {k for r, k in below if r == bound}
+        got = sorted((i * n + t - m) for _, i, t in [entering] + rest)
+        assert len(got) == min(size, len(below))
+        assert kept <= set(got) <= kept | tied
+        ref = [(rows[k // n][k % n], k // n, m + k % n) for k in got]
+        assert entering == _pick(ref, w, cut)
+        assert rest == ref
 
 
 # (pivots, full pricings) of solve, counted by wrapping _pick and _price
