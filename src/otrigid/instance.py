@@ -122,9 +122,9 @@ class CostMatrix:
         c = _float_array(self.c, "cost matrix")
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise ValueError("cost matrix must be 2-dimensional and non-empty")
-        if not np.all(np.isfinite(c)):
+        max_abs = float(np.max(np.abs(c)))  # inf or nan exactly when an entry is
+        if not max_abs < math.inf:
             raise ValueError("cost matrix entries must all be finite")
-        max_abs = float(np.max(np.abs(c)))
         if max_abs > MAX_ABS_COST:
             raise ValueError("cost matrix entries must satisfy |c_ij| <= 2**996")
         c.flags.writeable = False

@@ -13,9 +13,9 @@ subtree it re-hangs, and touches no dict.
 ``_tree_potentials`` is the one propagation of w, w[y] = w[x] + step[y]: for
 the start, for each pivot's re-hung subtree and for ``verify_optimality``,
 whose ``_rooted_forest`` roots the support forest of any plan (each tree at
-its lowest node, so a spanning tree at source 0).  ``solve`` does not call
-``_rooted_forest``: its start roots its tree as it allocates, so a rooting
-fault cannot pass both the start and the certificate.
+its lowest node, so a spanning tree at source 0) and keeps no flow.
+``solve``'s start roots its own tree as it allocates, so a rooting fault
+cannot pass both the start and the certificate.
 
 It pivots on an exactly perturbed integer problem (see
 ``_perturbed_marginals``) whose every basis is nondegenerate: each pivot
@@ -175,8 +175,8 @@ def _least_cost_basis(c, rank, supply, demand):
     its step, +c_ij for a source and -c_ij for a target (one ``c.item`` per
     arc), so the tree is rooted at the last allocation's target.  Reversing
     the path from node 0 to that root, as a pivot's re-hang does, roots it
-    at node 0.  Returns (parent, children, pflow, step, w) as in
-    ``_rooted_forest``, with w propagated once by ``_tree_potentials``.
+    at node 0.  Returns (parent, children, pflow, step, w), pflow[x] the flow
+    from x to parent[x] and the rest in ``_rooted_forest``'s form.
 
     The default argsort is 4-7 times as fast as the stable one at a few
     thousand arcs, and gives the same order unless two ranks are exactly
@@ -254,28 +254,27 @@ def _least_cost_basis(c, rank, supply, demand):
 def _rooted_forest(arcs, c):
     """Root every tree of the forest on ``arcs``, (i, j, f) triples, at its
     lowest node, and propagate its potentials; c is the m x n cost matrix.
-    It roots the support of the plan ``verify_optimality`` certifies;
-    ``solve``'s start roots its own tree, in the same form.
+    It roots the support of the plan ``verify_optimality`` certifies, which
+    reads no flow, so it keeps none.
 
     Nodes are sources 0..m-1 and targets m..m+n-1; in a feasible plan each
     tree's lowest node is a source, and a spanning tree is rooted at node 0.
-    Returns (parent, children, pflow, step, w, tree) as plain lists, with
-    parent -1 at each root: the arc from x to parent[x] carries pflow[x] and
-    steps step[x], -c_ij or +c_ij read with one ``c.item`` per arc; w is 0 at
-    each root and ``_tree_potentials`` below it, and tree[x] numbers x's
-    tree in the order of the roots.  Raises SupportCycleError at the first
-    arc that closes a cycle.
+    Returns (parent, step, w, tree) as plain lists, with parent -1 at each
+    root: the arc from x to parent[x] steps step[x], -c_ij or +c_ij read with
+    one ``c.item`` per arc; w is 0 at each root and ``_tree_potentials``
+    below it, and tree[x] numbers x's tree in the order of the roots.  The
+    children lists serve only that propagation.  Raises SupportCycleError at
+    the first arc that closes a cycle.
     """
     m, n = c.shape
     size = m + n
     cost = c.item
-    adj = [[] for _ in range(size)]
-    for i, j, f in arcs:
+    adj = [[] for _ in range(size)]  # (neighbour, its step below this node)
+    for i, j, _ in arcs:
         cij = cost(i, j)
-        adj[i].append((m + j, f, -cij))  # a target child steps down by c_ij
-        adj[m + j].append((i, f, cij))
+        adj[i].append((m + j, -cij))  # a target child steps down by c_ij
+        adj[m + j].append((i, cij))
     parent = [-1] * size
-    pflow = [0] * size
     step = [0.0] * size
     tree = [-1] * size
     children = [[] for _ in range(size)]
@@ -290,19 +289,18 @@ def _rooted_forest(arcs, c):
             x = stack.pop()
             up = parent[x]
             kids = children[x]
-            for nb, f, s in adj[x]:
+            for nb, s in adj[x]:
                 if nb != up:
                     if tree[nb] >= 0:
                         raise SupportCycleError("support contains a cycle")
                     tree[nb] = k
                     parent[nb] = x
-                    pflow[nb] = f
                     step[nb] = s
                     kids.append(nb)
             stack.extend(kids)
     w = [0.0] * size
     _tree_potentials(w, roots, children, step)
-    return parent, children, pflow, step, w, tree
+    return parent, step, w, tree
 
 
 def _tree_potentials(w, stack, children, step):
@@ -535,9 +533,8 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
     check_shape(inst, plan)
     m = inst.m
     c = inst.costs.c
-    parent, _, _, _, w, tree = _rooted_forest(plan.flows, c)
+    parent, _, w, tree = _rooted_forest(plan.flows, c)
     w = np.array(w)
-    comp = np.array(tree)
     tie = inst.costs.tie
     red = (c - w[:m, None]) + w[None, m:]
 
@@ -549,6 +546,7 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
         # one minimum per (source tree, target tree) block of red, with rows
         # and columns grouped by tree; every tree holds a source and a
         # target, because the plan is feasible, so no block is empty
+        comp = np.array(tree)
         rows = np.argsort(comp[:m], kind="stable")
         cols = np.argsort(comp[m:], kind="stable")
         trees = np.arange(ntree)
@@ -572,8 +570,7 @@ def _solve_difference_constraints(w, abs_tol):
     diag = np.diagonal(w)
     if (diag < -abs_tol).any():
         return None  # reduced cost negative inside a component
-    w = w.copy()
-    np.fill_diagonal(w, np.maximum(diag, 0.0))
+    np.fill_diagonal(w, np.maximum(diag, 0.0))  # in place: verify_optimality's own bound
     delta = np.zeros(k)
     paths = np.empty_like(w)  # paths[a, b] = delta_b + w[a, b], reused by every sweep
     for _ in range(k):

@@ -16,7 +16,7 @@ from otrigid import (
     rigidity_report,
     solve,
 )
-from otrigid.constructions import gcd_construct
+from otrigid.constructions import _perfect_matching, gcd_construct
 from otrigid.io import decomposition_to_dict
 
 
@@ -132,6 +132,11 @@ def test_birkhoff_long_augmenting_path():
     # n of the recombination, so every other entry is zero
     dense = dec.recombine()
     assert all(dense[i, j] == Fraction(f, 2) for i, j, f in plan.flows)
+
+
+def test_perfect_matching_none_without_one():
+    # both rows' only column is 0: row 1 finds no augmenting path
+    assert _perfect_matching([[0], [0]], 2) is None
 
 
 def test_gcd_construct_square_is_permutation():

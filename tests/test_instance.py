@@ -401,10 +401,13 @@ def test_geometry_consistency_enforced():
 
 
 def test_cost_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        CostMatrix(np.array([[0.0, np.nan]]))
-    with pytest.raises(ValueError):
-        CostMatrix(np.array([[np.inf]]))
+    # a nan beside an entry past 2**996 is reported as not finite, in either order
+    for c in ([[0.0, np.nan]], [[np.inf]], [[1.0, -np.inf]],
+              [[2.0**1000, np.nan]], [[np.nan, -(2.0**1000)]]):
+        with pytest.raises(ValueError, match="must all be finite"):
+            CostMatrix(np.array(c))
+    with pytest.raises(ValueError, match=r"\|c_ij\| <= 2\*\*996"):
+        CostMatrix(np.array([[0.0, -(2.0**1000)]]))
 
 
 @pytest.mark.parametrize("bad", ["0.5", True, None, np.True_, b"1", [0.5]],

@@ -263,11 +263,15 @@ def test_least_cost_basis_matches_full_order_walk(c):
     m, n = c.shape
     _, supply, demand = _perturbed_marginals(m, n, math.lcm(m, n))
     parent, _, pflow, step, w = _least_cost_basis(c, c, supply, demand)
-    ref = _rooted_forest(_full_order_start(c, supply, demand), c)
-    assert parent == ref[0]
-    assert pflow == ref[2]
-    assert [x.hex() for x in step] == [x.hex() for x in ref[3]]
-    assert [x.hex() for x in w] == [x.hex() for x in ref[4]]
+    arcs = _full_order_start(c, supply, demand)
+    ref_parent, ref_step, ref_w, _ = _rooted_forest(arcs, c)
+    assert parent == ref_parent
+    # the flow of the arc from x to its parent, read off the walk's own arcs
+    flow = {(i, m + j): f for i, j, f in arcs}
+    assert pflow == [0] + [flow[(x, p) if x < m else (p, x)]
+                           for x, p in enumerate(parent) if x]
+    assert [x.hex() for x in step] == [x.hex() for x in ref_step]
+    assert [x.hex() for x in w] == [x.hex() for x in ref_w]
 
 
 def _sec22(seed):
@@ -659,6 +663,43 @@ def test_verify_certificate_bytes_pinned():
         h.update(cert.v.tobytes())
     assert one_tree and multi_tree >= 4
     assert h.hexdigest() == CERTIFICATE_DIGEST
+
+
+# SHA-256 of u and v bytes over _multi_tree_corpus()'s multi-tree plans
+MULTI_TREE_CERTIFICATE_DIGEST = "69c370f582807f232df8d7b7025efce8e7fee7f1467eb67f86ceb0b194716c18"
+
+
+def _multi_tree_corpus():
+    # integer {0, 1, 2} costs, 2x2 to 6x6, with each zero as +0.0 and as
+    # -0.0, each also scaled by 2**-600 (exact), then random n x n squares,
+    # whose permutation plans are n one-arc trees
+    for m, n in itertools.product(range(2, 7), repeat=2):
+        for seed in range(3):
+            c = np.random.default_rng(seed).integers(0, 3, (m, n)).astype(float)
+            for signed in (c, np.where(c == 0.0, -0.0, c)):
+                yield Instance(CostMatrix(signed))
+                yield Instance(CostMatrix(signed * 2.0**-600))
+    for n in range(2, 14):
+        yield gen_random_costs(n, n, n)
+
+
+def test_verify_multi_tree_certificate_bytes_pinned():
+    # the multi-tree path on tie-heavy, signed-zero and tiny costs, which
+    # CERTIFICATE_DIGEST's corpus does not reach; v = 0.0 - w holds no -0.0
+    h = hashlib.sha256()
+    multi_tree = 0
+    for inst in _multi_tree_corpus():
+        plan = solve(inst)
+        if plan.support_size == inst.m + inst.n - 1:
+            continue  # one tree: no difference constraints
+        cert = verify_optimality(inst, plan)
+        _assert_certifies(inst, plan, cert)
+        assert not np.signbit(cert.v[cert.v == 0.0]).any()
+        h.update(cert.u.tobytes())
+        h.update(cert.v.tobytes())
+        multi_tree += 1
+    assert multi_tree == 160
+    assert h.hexdigest() == MULTI_TREE_CERTIFICATE_DIGEST
 
 
 def test_verify_raises_on_cyclic_support():
