@@ -25,6 +25,16 @@ m - 1.  With full_i * S/n <= S/m the upper end of (1) follows; s <= n + m - 1
 C(1 + a + b, 2), the sum in (4) is largest when one target takes all s - n
 extra sources: at most C(m, 2).
 
+Mass balance.  Let phi_ij = f_ij * n/S be the share of target j that source
+i takes.  Source i ships S/m, so its shares sum to n/m and
+
+  t_i - n/m = sum_{j in supp i} (1 - phi_ij)
+
+on every feasible plan: a target that i fills alone adds 0, so only i's
+split targets count.  Each target's shares sum to 1, so summing over i gives
+sum_j (l_j - 1) = s - n, and on a forest mean(t) - n/m = (s - n)/m <=
+(m - 1)/m.  ``tests/test_analysis.py`` checks both in exact fractions.
+
 W2 costs attain the upper end of (1): in the clustered wheel of
 ``tests/test_analysis.py`` source 0 takes floor(n/m) + m - 1 targets.
 """

@@ -10,12 +10,13 @@ step[x] = w[x] - w[parent[x]] (-c_ij when x is a target, +c_ij when x is a
 source), beside the children lists.  A pivot walks only its cycle and the
 subtree it re-hangs, and touches no dict.
 
-``_tree_potentials`` is the one propagation of w, w[y] = w[x] + step[y]: for
-the start, for each pivot's re-hung subtree and for ``verify_optimality``,
-whose ``_rooted_forest`` roots the support forest of any plan (each tree at
-its lowest node, so a spanning tree at source 0) and keeps no flow.
-``solve``'s start roots its own tree as it allocates, so a rooting fault
-cannot pass both the start and the certificate.
+``_tree_potentials`` propagates w, w[y] = w[x] + step[y], for ``solve``
+alone: its start and each pivot's re-hung subtree.  The certificate shares
+no tree code with ``solve``: ``verify_optimality``'s ``_rooted_forest``
+roots the support forest of any plan (each tree at its lowest node, so a
+spanning tree at source 0) and sets each node's w as it hangs it, while
+``solve``'s start roots its own tree as it allocates.  So a fault in either
+rooting or propagation cannot pass both ``solve`` and the check on it.
 
 It pivots on an exactly perturbed integer problem (see
 ``_perturbed_marginals``) whose every basis is nondegenerate: each pivot
@@ -253,18 +254,18 @@ def _least_cost_basis(c, rank, supply, demand):
 
 def _rooted_forest(arcs, c):
     """Root every tree of the forest on ``arcs``, (i, j, f) triples, at its
-    lowest node, and propagate its potentials; c is the m x n cost matrix.
-    It roots the support of the plan ``verify_optimality`` certifies, which
-    reads no flow, so it keeps none.
+    lowest node, and set its potentials; c is the m x n cost matrix.  It
+    roots the support of the plan ``verify_optimality`` certifies, which
+    reads no flow, so it keeps none, and it calls no code of ``solve``.
 
     Nodes are sources 0..m-1 and targets m..m+n-1; in a feasible plan each
     tree's lowest node is a source, and a spanning tree is rooted at node 0.
     Returns (parent, step, w, tree) as plain lists, with parent -1 at each
     root: the arc from x to parent[x] steps step[x], -c_ij or +c_ij read with
-    one ``c.item`` per arc; w is 0 at each root and ``_tree_potentials``
-    below it, and tree[x] numbers x's tree in the order of the roots.  The
-    children lists serve only that propagation.  Raises SupportCycleError at
-    the first arc that closes a cycle.
+    one ``c.item`` per arc; w is 0 at each root, and the walk sets w[y] =
+    w[x] + step[y] as it hangs y from x, the sum ``_tree_potentials`` makes;
+    tree[x] numbers x's tree in the order of the roots.  Raises
+    SupportCycleError at the first arc that closes a cycle.
     """
     m, n = c.shape
     size = m + n
@@ -276,19 +277,17 @@ def _rooted_forest(arcs, c):
         adj[m + j].append((i, cij))
     parent = [-1] * size
     step = [0.0] * size
+    w = [0.0] * size
     tree = [-1] * size
-    children = [[] for _ in range(size)]
-    roots = []
+    k = 0
     for root in range(size):
         if tree[root] >= 0:
             continue
-        tree[root] = k = len(roots)
-        roots.append(root)
+        tree[root] = k
         stack = [root]
         while stack:
             x = stack.pop()
             up = parent[x]
-            kids = children[x]
             for nb, s in adj[x]:
                 if nb != up:
                     if tree[nb] >= 0:
@@ -296,16 +295,18 @@ def _rooted_forest(arcs, c):
                     tree[nb] = k
                     parent[nb] = x
                     step[nb] = s
-                    kids.append(nb)
-            stack.extend(kids)
-    w = [0.0] * size
-    _tree_potentials(w, roots, children, step)
+                    w[nb] = w[x] + s
+                    stack.append(nb)
+        k += 1
     return parent, step, w, tree
 
 
 def _tree_potentials(w, stack, children, step):
     """Fill w below the nodes on ``stack``, whose w is set: w[y] = w[x] +
     step[y] for each child y of x, so that u_i + v_j = c_ij on each tree arc.
+    It serves ``solve`` alone, its start (``_least_cost_basis``) and each
+    pivot's re-hung subtree; the certificate's ``_rooted_forest`` sets its
+    own w.
 
     w_i = u_i for a source and w_{m+j} = -v_j for a target, so reduced costs
     are c_ij - w_i + w_{m+j}.  Each w is read off its parent's w and its
@@ -523,7 +524,7 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
 
     A reduced cost within costs.tie of zero counts as zero.
 
-    The support is rooted as a forest (``_rooted_forest``), which propagates
+    The support is rooted as a forest (``_rooted_forest``), which sets
     potentials down each tree in ``solve``'s w form.  Each tree's
     additive freedom is then fixed by solving the induced difference
     constraints (Bellman-Ford over trees), so that a valid certificate is
@@ -556,9 +557,13 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
         if delta is None:
             return None
         w += delta[comp]
+        # computed again from c, not by shifting red's blocks: the check
+        # must read the u and v it returns, and a shifted red would round
+        # differently at the tie cut
         red = (c - w[:m, None]) + w[None, m:]
     # the support needs no tightness test: each support arc is a tree arc,
-    # which _tree_potentials makes tight, and delta shifts both its ends alike
+    # which _rooted_forest made tight as it hung it, and delta shifts both
+    # its ends alike
     if red.min() < -tie:
         return None
     return DualCertificate(u=w[:m], v=0.0 - w[m:])  # 0.0 - w: v holds no -0.0

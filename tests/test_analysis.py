@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from otrigid import (
     CostMatrix,
+    ExperimentSpec,
     Instance,
     PointCloud,
     TransportPlan,
@@ -19,6 +21,7 @@ from otrigid import (
     stats_dict,
     verify_optimality,
 )
+from otrigid.experiments import build_instance
 
 C23 = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
 
@@ -129,15 +132,30 @@ def _is_forest(m, n, flows):
     return True
 
 
+def _mass_balance_excess(plan):
+    # the analysis docstring's mass balance, in exact fractions: per source
+    # t_i - n/m = sum_{j in supp i} (1 - f_ij n/S), and summed over the
+    # sources sum_j (l_j - 1) = s - n.  Returns mean(t) - n/m
+    m, n, scale = plan.m, plan.n, plan.scale
+    rep = rigidity_report(plan)
+    share = [Fraction(0)] * m
+    for i, j, f in plan.flows:
+        share[i] += 1 - Fraction(f * n, scale)
+    assert share == [t - Fraction(n, m) for t in rep.t]
+    assert sum(share) == rep.support_size - n == sum(lj - 1 for lj in rep.ell)
+    return sum(share) / m
+
+
 def test_rigidity_bounds_hold_on_every_forest_plan():
     # the paper's bounds are a theorem on vertex plans (see the analysis
     # docstring): every integral plan of every shape with m <= 4 and
-    # m*n <= 16 meets the lower end of (1), every forest plan meets (1),
-    # (2)/(3) in exact integers and sum_j C(l_j, 2) <= C(m, 2), its stats
-    # JSON has split_targets and max_split at most m - 1, and plans with a
-    # cycle break each upper inequality somewhere
+    # m*n <= 16 meets the lower end of (1) and the mass balance, every
+    # forest plan meets (1), (2)/(3) in exact integers, sum_j C(l_j, 2) <=
+    # C(m, 2) and mean(t) - n/m <= (m - 1)/m, its stats JSON has
+    # split_targets and max_split at most m - 1, and plans with a cycle
+    # break each upper inequality somewhere
     plans = forests = 0
-    broken = [0, 0, 0]
+    broken = [0, 0, 0, 0]
     for m in range(1, 5):
         for n in range(1, 16 // m + 1):
             for plan in enumerate_plans(gen_random_costs(m, n, 0)):
@@ -146,7 +164,8 @@ def test_rigidity_bounds_hold_on_every_forest_plan():
                 assert rep.t_min >= -(-n // m)
                 ok = (rep.t_max <= n // m + m - 1,
                       s <= n or (s - n) ** 2 <= m * m * n,
-                      _pair_sum(plan) <= math.comb(m, 2))
+                      _pair_sum(plan) <= math.comb(m, 2),
+                      _mass_balance_excess(plan) <= Fraction(m - 1, m))
                 plans += 1
                 if _is_forest(m, n, plan.flows):
                     forests += 1
@@ -158,6 +177,10 @@ def test_rigidity_bounds_hold_on_every_forest_plan():
                     broken = [b + (not k) for b, k in zip(broken, ok)]
     assert (forests, plans) == (887, 4832)
     assert all(broken), broken
+    # and on solved preset plans: sec22 s0 (7x2000) and fig1 ell=20 s0 (40x60)
+    for spec in (ExperimentSpec("sec22", ""), ExperimentSpec("fig1", "", ell=20)):
+        plan = solve(build_instance(spec, 0))
+        assert _mass_balance_excess(plan) <= Fraction(plan.m - 1, plan.m)
 
 
 def test_bound_values():

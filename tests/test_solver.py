@@ -256,10 +256,11 @@ def _full_order_start(c, supply, demand):
        for m, n in ((12, 5), (40, 60), (97, 105))],
 )
 def test_least_cost_basis_matches_full_order_walk(c):
-    # the screened start, rooted as it allocates, must give the tree that
-    # the certificate's independent rooting finds on a walk over the whole
-    # stable cost order: the same parents and flows, and the same steps and
-    # potentials bit for bit
+    # the screened start, rooted as it allocates and propagated by
+    # _tree_potentials, must give the tree that the certificate's
+    # independent rooting finds on a walk over the whole stable cost order,
+    # setting each potential as it hangs its node: the same parents and
+    # flows, and the same steps and potentials bit for bit
     m, n = c.shape
     _, supply, demand = _perturbed_marginals(m, n, math.lcm(m, n))
     parent, _, pflow, step, w = _least_cost_basis(c, c, supply, demand)
@@ -364,6 +365,23 @@ def test_potentials_are_exact_at_every_pivot(inst, monkeypatch):
     monkeypatch.setattr(solver_mod, "_tree_potentials", checked_fill)
     solve(inst)
     assert checks == counts["pivots"] + 1
+
+
+@pytest.mark.parametrize("inst, trees", [
+    pytest.param(_sec22(0), 1, id="sec22-s0"),
+    pytest.param(build_instance(ExperimentSpec("fig1", "", ell=2), 0), 2, id="fig1-ell2-s0"),
+])
+def test_certificate_shares_no_propagation_with_solve(inst, trees, monkeypatch):
+    # the certificate sets its own potentials, so with solve's propagation
+    # broken after the solve it still certifies a one-tree and a two-tree plan
+    plan = solve(inst)
+    assert plan.support_size == inst.m + inst.n - trees
+
+    def broken(*args):
+        raise AssertionError("the certificate called _tree_potentials")
+
+    monkeypatch.setattr(solver_mod, "_tree_potentials", broken)
+    assert verify_optimality(inst, plan) is not None
 
 
 @pytest.mark.parametrize(
