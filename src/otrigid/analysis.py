@@ -35,6 +35,17 @@ split targets count.  Each target's shares sum to 1, so summing over i gives
 sum_j (l_j - 1) = s - n, and on a forest mean(t) - n/m = (s - n)/m <=
 (m - 1)/m.  ``tests/test_analysis.py`` checks both in exact fractions.
 
+Residue identity.  A forest of k trees has s = m + n - k arcs, and with
+r = n mod m >= 1, m * ceil(n/m) = n + m - r, so on a vertex plan
+
+  sum_i (t_i - ceil(n/m)) = r - k,
+
+each term >= 0 by (1).  So k <= r, every t_i <= floor(n/m) + r (the upper
+end of (1) needs r = m - 1 and k = 1), and when n = 1 (mod m) the support
+is one tree and every t_i = ceil(n/m).  When m divides n the same count
+gives sum_i (t_i - n/m) = m - k.  ``tests/test_analysis.py`` checks the
+identity in integers on every forest plan of the small shapes.
+
 W2 costs attain the upper end of (1): in the clustered wheel of
 ``tests/test_analysis.py`` source 0 takes floor(n/m) + m - 1 targets.
 """

@@ -522,21 +522,20 @@ def scaled_objective(inst: Instance, plan: TransportPlan) -> float:
 def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCertificate]:
     """Certify optimality by complementary slackness, or return None.
 
-    A reduced cost within costs.tie of zero counts as zero.
-
     The support is rooted as a forest (``_rooted_forest``), which sets
     potentials down each tree in ``solve``'s w form.  Each tree's
     additive freedom is then fixed by solving the induced difference
     constraints (Bellman-Ford over trees), so that a valid certificate is
-    found whenever one exists.  Raises SupportCycleError if the support is
-    not a forest, and ValueError when the shapes differ.
+    found whenever one exists.  One test decides, on the returned u and v:
+    no reduced cost lies below -costs.tie, within which it counts as zero.
+    Raises SupportCycleError if the support is not a forest, and ValueError
+    when the shapes differ.
     """
     check_shape(inst, plan)
     m = inst.m
     c = inst.costs.c
     parent, _, w, tree = _rooted_forest(plan.flows, c)
     w = np.array(w)
-    tie = inst.costs.tie
     red = (c - w[:m, None]) + w[None, m:]
 
     # shift tree k's potentials by delta_k: constraints
@@ -553,10 +552,7 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
         trees = np.arange(ntree)
         bound = np.minimum.reduceat(red[rows], comp[:m][rows].searchsorted(trees), axis=0)
         bound = np.minimum.reduceat(bound[:, cols], comp[m:][cols].searchsorted(trees), axis=1)
-        delta = _solve_difference_constraints(bound, tie)
-        if delta is None:
-            return None
-        w += delta[comp]
+        w += _solve_difference_constraints(bound)[comp]
         # computed again from c, not by shifting red's blocks: the check
         # must read the u and v it returns, and a shifted red would round
         # differently at the tie cut
@@ -564,31 +560,29 @@ def verify_optimality(inst: Instance, plan: TransportPlan) -> Optional[DualCerti
     # the support needs no tightness test: each support arc is a tree arc,
     # which _rooted_forest made tight as it hung it, and delta shifts both
     # its ends alike
-    if red.min() < -tie:
+    if red.min() < -inst.costs.tie:
         return None
     return DualCertificate(u=w[:m], v=0.0 - w[m:])  # 0.0 - w: v holds no -0.0
 
 
-def _solve_difference_constraints(w, abs_tol):
-    """Bellman-Ford for delta_a - delta_b <= w[a, b]; None if infeasible."""
+def _solve_difference_constraints(w):
+    """Bellman-Ford shifts delta for delta_a - delta_b <= w[a, b].
+
+    Clamps w's diagonal, each a reduced cost inside one tree that no shift
+    moves, at 0 in place, then runs at most k Jacobi sweeps from delta = 0.
+    It decides nothing: ``verify_optimality``'s one test reads any
+    violation off the shifted u and v.
+    """
     k = w.shape[0]
-    diag = np.diagonal(w)
-    if (diag < -abs_tol).any():
-        return None  # reduced cost negative inside a component
-    np.fill_diagonal(w, np.maximum(diag, 0.0))  # in place: verify_optimality's own bound
+    np.fill_diagonal(w, np.maximum(np.diagonal(w), 0.0))  # verify_optimality's own bound
     delta = np.zeros(k)
     paths = np.empty_like(w)  # paths[a, b] = delta_b + w[a, b], reused by every sweep
     for _ in range(k):
         # relax: delta_a <= delta_b + w[a, b]
         best = np.add(delta, w, out=paths).min(axis=1)
         if not (best < delta).any():
-            return delta
+            break
         np.minimum(delta, best, out=delta)
-    # one more sweep: any further strict improvement beyond tolerance means
-    # a negative cycle, i.e. the plan is not optimal
-    best = np.add(delta, w, out=paths).min(axis=1)
-    if (best < delta - abs_tol).any():
-        return None
     return delta
 
 

@@ -13,6 +13,7 @@ from otrigid import (
     TransportPlan,
     cost_from_points,
     enumerate_plans,
+    gen_point_instance,
     gen_random_costs,
     genericity_check,
     pair_counts,
@@ -151,9 +152,9 @@ def test_rigidity_bounds_hold_on_every_forest_plan():
     # docstring): every integral plan of every shape with m <= 4 and
     # m*n <= 16 meets the lower end of (1) and the mass balance, every
     # forest plan meets (1), (2)/(3) in exact integers, sum_j C(l_j, 2) <=
-    # C(m, 2) and mean(t) - n/m <= (m - 1)/m, its stats JSON has
-    # split_targets and max_split at most m - 1, and plans with a cycle
-    # break each upper inequality somewhere
+    # C(m, 2), mean(t) - n/m <= (m - 1)/m and the residue identity, its
+    # stats JSON has split_targets and max_split at most m - 1, and plans
+    # with a cycle break each upper inequality somewhere
     plans = forests = 0
     broken = [0, 0, 0, 0]
     for m in range(1, 5):
@@ -170,6 +171,11 @@ def test_rigidity_bounds_hold_on_every_forest_plan():
                 if _is_forest(m, n, plan.flows):
                     forests += 1
                     assert all(ok)
+                    # the residue identity over k = m + n - s trees, in
+                    # integers: sum_i (t_i - ceil(n/m)) = r - k, with r =
+                    # n mod m, or m when m divides n; so k <= r
+                    r, k = n % m or m, m + n - s
+                    assert sum(rep.t) - m * rep.lower == r - k >= 0
                     stats = stats_dict(plan)
                     assert stats["split_targets"] <= m - 1
                     assert stats["max_split"] <= m - 1
@@ -181,6 +187,16 @@ def test_rigidity_bounds_hold_on_every_forest_plan():
     for spec in (ExperimentSpec("sec22", ""), ExperimentSpec("fig1", "", ell=20)):
         plan = solve(build_instance(spec, 0))
         assert _mass_balance_excess(plan) <= Fraction(plan.m - 1, plan.m)
+
+
+def test_every_fanout_is_the_lower_bound_when_n_is_1_mod_m():
+    # 2011 = 5 * 402 + 1: the residue identity leaves one tree and no excess,
+    # so every source takes ceil(n/m) = 403 targets, under W2 and iid costs
+    for inst in (gen_point_instance("uniform-square", 5, 2011, 2.0, 0),
+                 gen_random_costs(5, 2011, 0)):
+        rep = rigidity_report(solve(inst))
+        assert rep.support_size == 5 + 2011 - 1
+        assert rep.t == (403,) * 5
 
 
 def test_bound_values():

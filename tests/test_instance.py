@@ -176,6 +176,18 @@ def test_genericity_finds_planted_tie():
     assert (0, 2, 3, 5) in rep.violations
 
 
+@pytest.mark.parametrize("gap, tie", [(2.0, False), (0.5, True)])
+def test_genericity_cut_at_its_edge(gap, tie):
+    # the cut is 1e-12 * max|c|: a planted quadruple whose sum misses by
+    # gap * 1e-12 * max|c| is a near-tie at gap 0.5 and not at gap 2;
+    # max|c| = 2 exactly
+    c = np.random.default_rng(4).random((4, 6))
+    c[3, 0] = 2.0
+    c[2, 5] = c[0, 5] + c[2, 3] - c[0, 3] + gap * 1e-12 * 2.0
+    rep = genericity_check(Instance(CostMatrix(c)))
+    assert rep.violations == (((0, 2, 3, 5),) if tie else ())
+
+
 def test_genericity_exact_on_long_rows():
     # 3 * (12000 choose 2) ~ 2e8 quadruples, one planted tie among them
     inst = gen_random_costs(3, 12000, 0)

@@ -620,10 +620,13 @@ def test_verify_certificate_1x1():
 
 
 def test_difference_constraints_on_one_tree():
-    # a 1x1 system needs no shift unless its one diagonal entry is negative
-    delta = _solve_difference_constraints(np.zeros((1, 1)), TIE_TOL)
+    # a 1x1 system needs no shift; a negative diagonal entry, an arc inside
+    # the tree, is clamped to 0 in place and left to verify_optimality's test
+    delta = _solve_difference_constraints(np.zeros((1, 1)))
     assert delta.shape == (1,) and delta[0] == 0.0
-    assert _solve_difference_constraints(np.array([[-1.0]]), TIE_TOL) is None
+    bound = np.array([[-1.0]])
+    delta = _solve_difference_constraints(bound)
+    assert delta.tolist() == [0.0] and bound.tolist() == [[0.0]]
 
 
 def _assert_certifies(inst, plan, cert):
@@ -645,6 +648,54 @@ def test_verify_disconnected_support():
     cert = verify_optimality(inst, plan)
     assert cert is not None
     _assert_certifies(inst, plan, cert)
+
+
+def _with_cycle_reduced_cost(inst, plan, i, j, r):
+    # inst with c_ij moved so that the off-support arc (i, j) closes a cycle
+    # of reduced cost r with the plan's support: through its own tree when
+    # the arc lies inside one, else, on a two-tree support, back through the
+    # tightest arc from j's tree to i's.  No shift of the trees' potentials
+    # moves a cycle's reduced cost
+    m, n = plan.m, plan.n
+    c = inst.costs.c.copy()
+    _, _, w, tree = _rooted_forest(plan.flows, c)
+    assert max(tree) <= 1
+    w = np.array(w)
+    red = (c - w[:m, None]) + w[None, m:]
+    a, b = tree[i], tree[m + j]
+    back = 0.0
+    if a != b:
+        back = min(red[i2, j2] for i2 in range(m) for j2 in range(n)
+                   if (tree[i2], tree[m + j2]) == (b, a))
+    c[i, j] -= red[i, j] + back - r
+    moved = Instance(CostMatrix(c))
+    assert moved.costs.tie == inst.costs.tie
+    return moved
+
+
+@pytest.mark.parametrize("support", ["one tree", "two trees"])
+def test_verify_decides_at_the_tie_cut(support):
+    # an off-support arc whose cycle sits 1.5 ties below zero fails the
+    # certificate, and one 0.5 ties below passes it; on the two-tree support
+    # of fig1 ell=2 seed 0 both for an arc inside a tree, whose reduced cost
+    # no shift moves, and for an arc between the trees, whose cycle the
+    # difference constraints close
+    if support == "one tree":
+        inst, plan, arcs = Instance(CostMatrix(C23)), TransportPlan(2, 3, 6, OPT23), [(0, 2)]
+    else:
+        inst = build_instance(ExperimentSpec("fig1", "", ell=2), 0)
+        plan = solve(inst)
+        # trees {s0, s3, t0, t1, t4} and {s1, s2, t2, t3, t5}
+        assert _rooted_forest(plan.flows, inst.costs.c)[3] == [0, 1, 1, 0, 0, 0, 1, 1, 0, 1]
+        arcs = [(0, 4), (0, 2)]
+    for i, j in arcs:
+        assert all((i, j) != (a, b) for a, b, _ in plan.flows)
+        for ties, certified in ((1.5, False), (0.5, True)):
+            moved = _with_cycle_reduced_cost(inst, plan, i, j, -ties * inst.costs.tie)
+            cert = verify_optimality(moved, plan)
+            assert (cert is not None) == certified, (i, j, ties)
+            if certified:
+                _assert_certifies(moved, plan, cert)
 
 
 # SHA-256 of u and v bytes over _certificate_corpus(), as the certificate gave
@@ -845,6 +896,26 @@ def test_uncross_tie_break_deterministic():
     out = uncross(inst, plan)
     assert find_crossings(out) == []
     assert out.flows == ((0, 1, 2), (1, 0, 2))  # zeroed (0, 0)
+
+
+def test_uncross_pushes_by_the_gain_sign_past_the_tie_band():
+    # a crossing's gain 1.5 ties from zero is no tie: the push lowers the
+    # cost, though the tie rule (zero the lexicographically smallest entry)
+    # would push the other way on these flows
+    g = 1.5e-12  # 1.5 ties: max|c| is 1 to within g
+    # gain -g on the 2x2 product plan: the tie rule lowers (0, 0) and (1, 1)
+    inst = Instance(CostMatrix(np.array([[1.0, 1.0], [1.0, 1.0 - g]])))
+    assert inst.costs.tie == TIE_TOL
+    plan = TransportPlan(2, 2, 4, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
+    assert uncross(inst, plan).flows == ((0, 0, 2), (1, 1, 2))
+    # gain +g on targets 0, 1 with f_00 = 3 > f_11 = 2: the tie rule lowers
+    # (0, 1) and (1, 0); the gain lowers (0, 0) and (1, 1), and the next
+    # crossing, on targets 0, 2 with gain 0.5, lowers (0, 0) and (1, 2)
+    inst = Instance(CostMatrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + g, 0.5]])))
+    assert 1.4 < g / inst.costs.tie < 1.6
+    plan = TransportPlan(2, 3, 12, ((0, 0, 3), (0, 1, 2), (0, 2, 1),
+                                    (1, 0, 1), (1, 1, 2), (1, 2, 3)))
+    assert uncross(inst, plan).flows == ((0, 1, 4), (0, 2, 2), (1, 0, 4), (1, 2, 2))
 
 
 @settings(max_examples=25, deadline=None)
