@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation error (a malformed command line
-included), 2 I/O error.
+included) or a RuntimeError: ``oracle`` past ``--cap`` (OracleCapExceeded)
+or ``solve`` past its pivot limit; 2 I/O error.
 """
 from __future__ import annotations
 
@@ -42,9 +43,12 @@ def _build_parser():
     ap = _Parser(prog="otrigid",
                  description="Exact discrete optimal transport and rigidity analysis")
     sub = ap.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--instance", required=True)
+    plan = argparse.ArgumentParser(add_help=False)
+    plan.add_argument("--plan", required=True)
 
-    p = sub.add_parser("solve", help="solve an instance exactly")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("solve", help="solve an instance exactly", parents=[instance])
     p.add_argument("--out-plan")
     p.add_argument("--out-stats")
 
@@ -57,30 +61,27 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("genericity", help="scan for cost quadruple near-ties")
-    p.add_argument("--instance", required=True)
+    sub.add_parser("genericity", help="scan for cost quadruple near-ties", parents=[instance])
 
-    p = sub.add_parser("perturb", help="jitter the costs to restore genericity")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("perturb", help="jitter the costs to restore genericity",
+                       parents=[instance])
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("analyze", help="rigidity stats for an instance/plan pair")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--plan", required=True)
+    sub.add_parser("analyze", help="rigidity stats for an instance/plan pair",
+                   parents=[instance, plan])
 
-    p = sub.add_parser("uncross", help="repair crossings without increasing cost")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--plan", required=True)
+    p = sub.add_parser("uncross", help="repair crossings without increasing cost",
+                       parents=[instance, plan])
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("birkhoff", help="decompose a square plan into permutations")
-    p.add_argument("--plan", required=True)
+    p = sub.add_parser("birkhoff", help="decompose a square plan into permutations",
+                       parents=[plan])
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("oracle", help="brute-force minimum over all integral plans")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("oracle", help="brute-force minimum over all integral plans",
+                       parents=[instance])
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = sub.add_parser("experiment", help="run a preset experiment over seeds")
@@ -89,9 +90,7 @@ def _build_parser():
     p.add_argument("--seeds", type=int, default=10, help="run seeds 0..K-1")
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("plot", help="render instance + plan as SVG")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--plan", required=True)
+    p = sub.add_parser("plot", help="render instance + plan as SVG", parents=[instance, plan])
     p.add_argument("--out", required=True)
 
     return ap
@@ -104,8 +103,15 @@ def _run(args) -> int:
         value = getattr(args, opt, least)
         if value < least:
             raise ValueError(f"--{opt} must be at least {least}, got {value}")
-    if cmd == "solve":
+    # the instance is read first, so a missing one is the I/O error even
+    # beside a bad plan; without one (birkhoff) the plan's shape is inferred
+    inst = plan = None
+    if "instance" in args:
         inst = load_instance(args.instance)
+    if "plan" in args:
+        shape = {} if inst is None else {"m": inst.m, "n": inst.n}
+        plan = load_plan_csv(args.plan, **shape)
+    if cmd == "solve":
         plan, _ = solve_and_save(inst, args.out_plan, args.out_stats)
         print(json.dumps({"objective": objective(inst, plan),
                           "support_size": plan.support_size,
@@ -120,7 +126,6 @@ def _run(args) -> int:
         save_instance(inst, args.out)
         return 0
     if cmd == "genericity":
-        inst = load_instance(args.instance)
         rep = inst_mod.genericity_check(inst)
         print(json.dumps({"generic": rep.generic,
                           "violations": [list(v) for v in rep.violations[:100]],
@@ -128,17 +133,12 @@ def _run(args) -> int:
                           "truncated": rep.truncated}))
         return 0
     if cmd == "perturb":
-        inst = load_instance(args.instance)
         save_instance(inst_mod.perturb(inst, args.eta, args.seed), args.out)
         return 0
     if cmd == "analyze":
-        inst = load_instance(args.instance)
-        plan = load_plan_csv(args.plan, m=inst.m, n=inst.n)
         sys.stdout.write(stats_json_text(stats_dict(plan)))
         return 0
     if cmd == "uncross":
-        inst = load_instance(args.instance)
-        plan = load_plan_csv(args.plan, m=inst.m, n=inst.n)
         repaired = uncross(inst, plan)
         save_plan_csv(repaired, args.out)
         print(json.dumps({"objective_before": objective(inst, plan),
@@ -146,13 +146,11 @@ def _run(args) -> int:
                           "crossings_removed": pair_counts(plan).crossings}))
         return 0
     if cmd == "birkhoff":
-        plan = load_plan_csv(args.plan)
         dec = birkhoff_decompose(plan)
         save_decomposition_json(dec, args.out)
         print(json.dumps({"terms": len(dec.terms)}))
         return 0
     if cmd == "oracle":
-        inst = load_instance(args.instance)
         res = brute_force_solve(inst, cap=args.cap)
         print(json.dumps({"min_cost": res.min_cost,
                           "optimal_count": len(res.optimal_plans),
@@ -167,8 +165,6 @@ def _run(args) -> int:
                            "t_max_excess_histogram", "perturbed_seeds")}))
         return 0
     if cmd == "plot":
-        inst = load_instance(args.instance)
-        plan = load_plan_csv(args.plan, m=inst.m, n=inst.n)
         emit_svg(inst, plan, args.out)
         return 0
     raise AssertionError(f"unhandled command {cmd}")
@@ -181,7 +177,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, KeyError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

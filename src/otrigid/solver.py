@@ -135,12 +135,31 @@ class TransportPlan:
         return len(self.flows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCertificate:
-    """Potentials (u, v) with u_i + v_j <= c_ij everywhere, tight on the support."""
+    """Potentials (u, v) with u_i + v_j <= c_ij up to ``costs.tie``, tight on the support.
+
+    A value like ``CostMatrix``: u and v are read-only float copies with
+    their bits kept, ``==`` compares them by value, copies and pickles
+    rebuild through the constructor, and ``hash()`` raises TypeError.
+    """
 
     u: np.ndarray
     v: np.ndarray
+
+    def __post_init__(self):
+        for name in ("u", "v"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        return DualCertificate, (self.u, self.v)
+
+    def __eq__(self, other):
+        if type(other) is not DualCertificate:
+            return NotImplemented
+        return np.array_equal(self.u, other.u) and np.array_equal(self.v, other.v)
 
 
 class SupportCycleError(ValueError):

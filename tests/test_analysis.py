@@ -206,23 +206,28 @@ def test_bound_values():
     assert rep.excess == rep.t_max - 3
 
 
-def test_bound_1_upper_end_is_attained_by_the_w2_clustered_wheel():
+def _clustered_wheel(m, q, r, rng):
     # Source 0 sits at the origin and m - 1 sources on a circle of radius
     # 0.4 around it.  Each source has a tight cluster of q targets, and one
-    # more target lies near the midpoint between the origin and each outer
-    # source, so n = qm + m - 1.  Each outer source takes m - 1 of the m
-    # units of its midpoint target and source 0 the last one: t_0 =
+    # more target lies near the midpoint between the origin and each of the
+    # first r outer sources, so n = qm + r.
+    angles = 2 * np.pi * np.arange(m - 1) / (m - 1)
+    outer = 0.4 * np.column_stack([np.cos(angles), np.sin(angles)])
+    sources = np.vstack([np.zeros((1, 2)), outer])
+    clusters = np.repeat(sources, q, axis=0) + rng.normal(0.0, 0.01, (q * m, 2))
+    midpoints = outer[:r] / 2 + rng.normal(0.0, 0.001, (r, 2))
+    return cost_from_points(PointCloud(sources),
+                            PointCloud(np.vstack([clusters, midpoints])), 2.0)
+
+
+def test_bound_1_upper_end_is_attained_by_the_w2_clustered_wheel():
+    # With all m - 1 midpoint targets, each outer source takes m - 1 of the
+    # m units of its midpoint target and source 0 the last one: t_0 =
     # q + m - 1 = floor(n/m) + m - 1, and c = t_max - ceil(n/m) = m - 2.
     rng = np.random.default_rng(0)
     for m, n in ((4, 11), (8, 47), (13, 51), (20, 219)):
         q = (n - (m - 1)) // m
-        angles = 2 * np.pi * np.arange(m - 1) / (m - 1)
-        outer = 0.4 * np.column_stack([np.cos(angles), np.sin(angles)])
-        sources = np.vstack([np.zeros((1, 2)), outer])
-        clusters = np.repeat(sources, q, axis=0) + rng.normal(0.0, 0.01, (q * m, 2))
-        midpoints = outer / 2 + rng.normal(0.0, 0.001, (m - 1, 2))
-        inst = cost_from_points(PointCloud(sources),
-                                PointCloud(np.vstack([clusters, midpoints])), 2.0)
+        inst = _clustered_wheel(m, q, m - 1, rng)
         assert inst.n == n
         plan = solve(inst)
         rep = rigidity_report(plan)
@@ -230,3 +235,24 @@ def test_bound_1_upper_end_is_attained_by_the_w2_clustered_wheel():
         assert rep.excess == m - 2
         assert genericity_check(inst).generic
         assert verify_optimality(inst, plan) is not None
+
+
+def test_residue_identity_on_the_clustered_wheel_at_every_residue():
+    # midpoint targets for only the first r outer sources make n mod m = r,
+    # for every r = 1..m-1; the solved plan's k = m + n - s trees meet the
+    # residue identity sum_i (t_i - ceil(n/m)) = r - k >= 0, up to k = 10
+    # trees at m = 20.  c = r - 1 is not always attained, so it is not asserted
+    rng = np.random.default_rng(0)
+    most_trees = 0
+    for m, q in ((4, 2), (8, 5), (13, 3), (20, 10)):
+        for r in range(1, m):
+            inst = _clustered_wheel(m, q, r, rng)
+            n = inst.n
+            assert n % m == r
+            plan = solve(inst)
+            rep = rigidity_report(plan)
+            k = m + n - plan.support_size
+            assert sum(rep.t) - m * rep.lower == r - k >= 0, (m, r)
+            assert verify_optimality(inst, plan) is not None
+            most_trees = max(most_trees, k)
+    assert most_trees == 10

@@ -33,6 +33,7 @@ from otrigid import (
     stats_dict,
     uncross,
 )
+from otrigid import cli
 from otrigid.cli import main
 from otrigid.experiments import build_instance
 from otrigid.io import (
@@ -712,6 +713,42 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["plot", "--instance", str(geo_path),
                      "--plan", str(plan_path), "--out", out]) == 1
         assert not os.path.exists(out)
+
+
+def test_cli_reads_the_instance_before_the_plan(tmp_path, capsys, monkeypatch):
+    # a missing instance is the I/O error even beside an infeasible plan; an
+    # existing instance with that plan is the validation error, and neither
+    # writes --out
+    inst_path = tmp_path / "inst.json"
+    save_instance(cost_from_points(gen_points("uniform-square", 3, 2, 0),
+                                   gen_points("uniform-square", 4, 2, 1), 2.0), inst_path)
+    plan_path = tmp_path / "infeasible.csv"
+    plan_path.write_text("i,j,num,den\n0,0,1,2\n")
+    out = tmp_path / "out"
+    for cmd, extra in (("analyze", []), ("uncross", ["--out", str(out)]),
+                       ("plot", ["--out", str(out)])):
+        argv = [cmd, "--plan", str(plan_path), *extra]
+        capsys.readouterr()
+        assert main(argv + ["--instance", str(tmp_path / "missing.json")]) == 2
+        assert "missing.json" in capsys.readouterr().err
+        assert main(argv + ["--instance", str(inst_path)]) == 1
+        assert "not exactly" in capsys.readouterr().err
+        assert not out.exists()
+    # birkhoff reads no instance, so the plan's shape comes from its indices
+    prod_path = tmp_path / "prod.csv"
+    save_plan_csv(_product_plan(3, 4), prod_path)
+    seen, decompose = [], cli.birkhoff_decompose
+
+    def record(plan):
+        seen.append(plan)
+        return decompose(plan)
+
+    monkeypatch.setattr(cli, "birkhoff_decompose", record)
+    capsys.readouterr()
+    assert main(["birkhoff", "--plan", str(prod_path), "--out", str(out)]) == 1
+    assert "requires m = n" in capsys.readouterr().err
+    assert seen == [_product_plan(3, 4)] and (seen[0].m, seen[0].n) == (3, 4)
+    assert not out.exists()
 
 
 def test_cli_perturb_at_cost_bound(tmp_path):

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import re
 import time
 
@@ -33,6 +35,7 @@ from otrigid.experiments import build_instance
 from otrigid.instance import TIE_TOL
 from otrigid.io import plan_csv_lines
 from otrigid.solver import (
+    DualCertificate,
     _least_cost_basis,
     _perturbed_marginals,
     _pick,
@@ -617,6 +620,31 @@ def test_verify_certificate_1x1():
     cert = verify_optimality(inst, solve(inst))
     assert cert is not None
     assert cert.u[0] + cert.v[0] == pytest.approx(2.5)
+
+
+def test_certificates_are_values():
+    # == compares u and v by value, the arrays are read-only copies (not
+    # views into the certificate's potentials), and copies, pickles and
+    # hashing behave as CostMatrix's do
+    inst = gen_random_costs(3, 5, 0)
+    plan = solve(inst)
+    cert, again = verify_optimality(inst, plan), verify_optimality(inst, plan)
+    assert cert == again and cert is not again
+    u, v = cert.u.copy(), cert.v.copy()
+    built = DualCertificate(u, v)
+    u[1] += 1.0
+    v[1] += 1.0
+    assert built == cert  # the constructor copied u and v
+    assert DualCertificate(u, cert.v) != cert
+    assert DualCertificate(cert.u, v) != cert
+    for dup in (cert, copy.deepcopy(cert), pickle.loads(pickle.dumps(cert))):
+        assert dup == cert
+        for a in (dup.u, dup.v):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    with pytest.raises(TypeError, match="unhashable type: 'DualCertificate'"):
+        hash(cert)
 
 
 def test_difference_constraints_on_one_tree():
